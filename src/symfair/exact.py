@@ -5,16 +5,22 @@ unordered partition at most once (an item may only open the first empty
 bundle). It is exact: with the node and time budgets left at their defaults it
 either returns a witness partition or proves that none exists.
 
-Soundness of the prune at a node with remaining items R_i (agent i's total
-value of unassigned items) and best remaining item r_i: any completion has
+Soundness of the prune. For agent i let worst_i = max_l (v_i(A_l) - max_i(A_l)),
+the largest value of a bundle less its best item, and R_i the agent's value of
+the unassigned items. Values are nonnegative, so adding items S to A_l raises
+v_i(A_l) by v_i(S) and max_i(A_l) by at most max_i(S) <= v_i(S): the current
+v_i(A_l) - max_i(A_l) lower-bounds the final one, and every final bundle must
+reach worst_i. Hence no completion is symEF1 when
 
-    final v_i(A_k)            <= v_i(A_k) + R_i     for the tracked bundle k,
-    final min_k v_i(A_k)      <= floor(total_i / n),
-    final v_i(A_l) - max item >= v_i(A_l) - max(current max of A_l, r_i).
+    worst_i > floor(total_i / n)                  (the final minimum bundle
+                                                   is worth at most the mean), or
+    sum_k max(0, worst_i - v_i(A_k)) > R_i        (the bundles below worst_i
+                                                   need more than is left).
 
-If the smallest upper bound on the left falls below the largest lower bound on
-the right for some agent, no completion can be symEF1 and the subtree is cut.
-Disabling the prune never changes a verdict, only node counts.
+Placing an item changes only its bundle's term, which never decreases, so
+worst_i updates in O(1). With no items left the second test is exactly the
+symEF1 check. Disabling the prune never changes a verdict or the first
+witness, only node counts.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .core import Assignment, Instance, Partition, is_symef1
 
@@ -69,10 +76,15 @@ def _search_order(inst: Instance) -> list[int]:
 
 
 class _Searcher:
-    """Shared depth-first engine for the existence search and the enumerator."""
+    """Iterative depth-first engine shared by the existence search and the enumerator.
+
+    Depth d places the item ``order[d]``. Per-depth arrays hold the children
+    still to try and what a placement overwrote, so undoing it is O(n) and the
+    Python stack stays flat at any m. ``leaves`` yields every accepted leaf in
+    DFS order, so the first one is the existence witness.
+    """
 
     def __init__(self, inst: Instance, limits: SearchLimits, prune: bool):
-        self.inst = inst
         self.n = inst.n
         self.m = inst.m
         self.limits = limits
@@ -80,100 +92,123 @@ class _Searcher:
         self.order = _search_order(inst)
         # cols[d][i]: agent i's value for the item assigned at depth d.
         self.cols = [[inst.values[i][j] for i in range(inst.n)] for j in self.order]
-        # suffix_sum[i][d] / suffix_max[i][d]: over items at depths >= d.
-        self.suffix_sum = [[0] * (self.m + 1) for _ in range(self.n)]
-        self.suffix_max = [[0] * (self.m + 1) for _ in range(self.n)]
-        for i in range(self.n):
-            for d in range(self.m - 1, -1, -1):
-                v = self.cols[d][i]
-                self.suffix_sum[i][d] = self.suffix_sum[i][d + 1] + v
-                self.suffix_max[i][d] = max(self.suffix_max[i][d + 1], v)
-        self.avg_cap = [inst.agent_total(i) // self.n for i in range(self.n)]
-        self.sums = [[0] * self.n for _ in range(self.n)]
-        self.maxes = [[0] * self.n for _ in range(self.n)]
-        self.bundles: list[list[int]] = [[] for _ in range(self.n)]
+        # remaining[d][i]: agent i's value for the items at depths >= d.
+        self.remaining = [[0] * self.n for _ in range(self.m + 1)]
+        for d in range(self.m - 1, -1, -1):
+            self.remaining[d] = [r + v for r, v in zip(self.remaining[d + 1], self.cols[d])]
+        self.cap = [inst.agent_total(i) // self.n for i in range(self.n)]
+        self.assign = [0] * self.m
         self.nodes = 0
-        self.deadline = time.monotonic() + limits.time_budget
-
-    def feasible(self, depth: int) -> bool:
-        # Exact symEF1 test when depth == m (both suffix terms are then 0).
-        for i in range(self.n):
-            sums = self.sums[i]
-            maxes = self.maxes[i]
-            remaining = self.suffix_sum[i][depth]
-            rmax = self.suffix_max[i][depth]
-            reachable_min = min(sums) + remaining
-            if reachable_min > self.avg_cap[i]:
-                reachable_min = self.avg_cap[i]
-            worst = None
-            for l in range(self.n):
-                mx = maxes[l]
-                if rmax > mx:
-                    mx = rmax
-                need = sums[l] - mx
-                if worst is None or need > worst:
-                    worst = need
-            if reachable_min < worst:
-                return False
-        return True
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limits.node_budget:
-            raise BudgetExceededError(f"node budget {self.limits.node_budget} exhausted")
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExceededError(f"time budget {self.limits.time_budget}s exhausted")
 
     def current_partition(self) -> Partition:
-        return Partition(
-            tuple(frozenset(self.order[d] for d in bundle) for bundle in self.bundles)
-        )
+        bundles: list[set[int]] = [set() for _ in range(self.n)]
+        for d, k in enumerate(self.assign):
+            bundles[k].add(self.order[d])
+        return Partition(tuple(frozenset(b) for b in bundles))
 
-    def dfs_exists(self, depth: int, used: int) -> bool:
-        if depth == self.m:
-            return True
-        col = self.cols[depth]
-        limit = used + 1 if used < self.n else self.n
-        # Emptiest bundle first: the first descent then fills round-robin
-        # fashion, which lands on a witness quickly when one exists.
-        for k in sorted(range(limit), key=lambda b: (len(self.bundles[b]), b)):
-            self._tick()
-            if self._place_and_recurse(depth, used, k, col, self.dfs_exists):
-                return True
-        return False
-
-    def dfs_enumerate(self, depth: int, used: int, out: set[Partition]) -> bool:
-        if depth == self.m:
-            out.add(canonical_partition(self.current_partition()))
-            return False
-        col = self.cols[depth]
-        limit = used + 1 if used < self.n else self.n
-        for k in range(limit):
-            self._tick()
-            self._place_and_recurse(
-                depth, used, k, col, lambda d, u: self.dfs_enumerate(d, u, out)
-            )
-        return False
-
-    def _place_and_recurse(self, depth, used, k, col, recurse) -> bool:
-        sums = self.sums
-        maxes = self.maxes
-        prev_max = [0] * self.n
-        for i in range(self.n):
-            v = col[i]
-            sums[i][k] += v
-            prev_max[i] = maxes[i][k]
-            if v > maxes[i][k]:
-                maxes[i][k] = v
-        self.bundles[k].append(depth)
-        ok = self.feasible(depth + 1) if (self.prune or depth + 1 == self.m) else True
-        hit = ok and recurse(depth + 1, used + 1 if k == used else used)
-        if not hit:
-            self.bundles[k].pop()
-            for i in range(self.n):
-                sums[i][k] -= col[i]
-                maxes[i][k] = prev_max[i]
-        return hit
+    def leaves(self) -> Iterator[Partition]:
+        """Every symEF1 leaf in DFS order; raises BudgetExceededError mid-walk."""
+        n, m = self.n, self.m
+        if m == 0:
+            yield self.current_partition()
+            return
+        cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
+        agents = range(n)
+        node_budget = self.limits.node_budget
+        deadline = time.monotonic() + self.limits.time_budget
+        # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
+        sums = [[0] * n for _ in agents]
+        maxes = [[0] * n for _ in agents]
+        # worst[i] = max_k (sums[i][k] - maxes[i][k]), a lower bound on its final value.
+        worst = [0] * n
+        sizes = [0] * n
+        saved_max = [[0] * n for _ in range(m)]
+        saved_worst = [[0] * n for _ in range(m)]
+        children: list[list[int]] = [[] for _ in range(m)]
+        pos = [0] * m
+        used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
+        children[0] = [0]
+        nodes = 0
+        d = 0
+        undo = 0  # agents whose state the placement at depth d changed
+        while True:
+            if undo:
+                k = assign[d]
+                col = cols[d]
+                sm = saved_max[d]
+                sw = saved_worst[d]
+                for i in range(undo):
+                    sums[i][k] -= col[i]
+                    maxes[i][k] = sm[i]
+                    worst[i] = sw[i]
+                sizes[k] -= 1
+                undo = 0
+            kids = children[d]
+            p = pos[d]
+            if p == len(kids):
+                if d == 0:
+                    self.nodes = nodes
+                    return
+                d -= 1
+                undo = n
+                continue
+            pos[d] = p + 1
+            k = kids[p]
+            nodes += 1
+            if nodes > node_budget:
+                self.nodes = nodes
+                raise BudgetExceededError(f"node budget {node_budget} exhausted")
+            if nodes % 4096 == 0 and time.monotonic() > deadline:
+                self.nodes = nodes
+                raise BudgetExceededError(f"time budget {self.limits.time_budget}s exhausted")
+            assign[d] = k
+            sizes[k] += 1
+            col = cols[d]
+            sm = saved_max[d]
+            sw = saved_worst[d]
+            test = self.prune or d + 1 == m
+            rem = remaining[d + 1]
+            for i in agents:
+                srow = sums[i]
+                v = col[i]
+                s = srow[k] + v
+                srow[k] = s
+                mrow = maxes[i]
+                mx = mrow[k]
+                sm[i] = mx
+                if v > mx:
+                    mrow[k] = mx = v
+                w = worst[i]
+                sw[i] = w
+                if s - mx > w:
+                    worst[i] = w = s - mx
+                if test:
+                    if w > cap[i]:
+                        undo = i + 1
+                        break
+                    slack = rem[i]
+                    for x in srow:
+                        if x < w:
+                            slack -= w - x
+                            if slack < 0:
+                                break
+                    if slack < 0:
+                        undo = i + 1
+                        break
+            if undo:
+                continue
+            if d + 1 == m:
+                self.nodes = nodes
+                yield self.current_partition()
+                undo = n
+                continue
+            u = used[d]
+            d += 1
+            u = used[d] = u + 1 if k == u else u
+            # Emptiest bundle first, ties by index (sorted is stable); only the
+            # first empty bundle may open, so each unordered partition shows once.
+            children[d] = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
+            pos[d] = 0
 
 
 def exact_symef1(
@@ -182,13 +217,16 @@ def exact_symef1(
     """Decide symEF1 existence; complete within the given budgets."""
     searcher = _Searcher(inst, limits or SearchLimits(), prune)
     try:
-        if searcher.dfs_exists(0, 0):
-            partition = searcher.current_partition()
-            assert is_symef1(inst, partition)
-            return ExactOutcome(ExactStatus.FOUND, partition, searcher.nodes)
-        return ExactOutcome(ExactStatus.PROVED_INFEASIBLE, None, searcher.nodes)
+        partition = next(searcher.leaves(), None)
     except BudgetExceededError:
         return ExactOutcome(ExactStatus.BUDGET_EXCEEDED, None, searcher.nodes)
+    if partition is None:
+        return ExactOutcome(ExactStatus.PROVED_INFEASIBLE, None, searcher.nodes)
+    if not is_symef1(inst, partition):
+        raise RuntimeError(
+            f"search returned a partition that is not symEF1 (n={inst.n}, m={inst.m})"
+        )
+    return ExactOutcome(ExactStatus.FOUND, partition, searcher.nodes)
 
 
 def enumerate_symef1(
@@ -207,9 +245,7 @@ def enumerate_symef1(
             f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; pass force=True"
         )
     searcher = _Searcher(inst, limits or SearchLimits(), prune)
-    out: set[Partition] = set()
-    searcher.dfs_enumerate(0, 0, out)
-    return out
+    return {canonical_partition(p) for p in searcher.leaves()}
 
 
 def canonical_partition(partition: Partition) -> Partition:
@@ -231,6 +267,8 @@ def naive_enumerate_symef1(inst: Instance) -> set[Partition]:
     assignment = [0] * m
     sums = [[0] * n for _ in range(n)]
     maxes = [[0] * n for _ in range(n)]
+    # saved[j][i]: maxes[i][assignment[j]] before item j went in.
+    saved = [[0] * n for _ in range(m)]
 
     def leaf_ok() -> bool:
         for i in range(n):
@@ -241,29 +279,41 @@ def naive_enumerate_symef1(inst: Instance) -> set[Partition]:
                 return False
         return True
 
-    def walk(j: int) -> None:
-        if j == m:
-            if leaf_ok():
-                bundles = [set() for _ in range(n)]
-                for item, k in enumerate(assignment):
-                    bundles[k].add(item)
-                out.add(canonical_partition(Partition(tuple(frozenset(b) for b in bundles))))
-            return
-        for k in range(n):
-            assignment[j] = k
-            prev = [maxes[i][k] for i in range(n)]
-            for i in range(n):
-                v = values[i][j]
-                sums[i][k] += v
-                if v > maxes[i][k]:
-                    maxes[i][k] = v
-            walk(j + 1)
-            for i in range(n):
-                sums[i][k] -= values[i][j]
-                maxes[i][k] = prev[i]
+    def place(j: int, k: int) -> None:
+        assignment[j] = k
+        for i in range(n):
+            v = values[i][j]
+            sums[i][k] += v
+            saved[j][i] = maxes[i][k]
+            if v > maxes[i][k]:
+                maxes[i][k] = v
 
-    walk(0)
-    return out
+    def unplace(j: int) -> None:
+        k = assignment[j]
+        for i in range(n):
+            sums[i][k] -= values[i][j]
+            maxes[i][k] = saved[j][i]
+
+    # Odometer over item-to-bundle maps; items leave in reverse order of
+    # entry, so each restores the bundle maxima it found.
+    for j in range(m):
+        place(j, 0)
+    while True:
+        if leaf_ok():
+            bundles = [set() for _ in range(n)]
+            for item, k in enumerate(assignment):
+                bundles[k].add(item)
+            out.add(canonical_partition(Partition(tuple(frozenset(b) for b in bundles))))
+        j = m - 1
+        while j >= 0 and assignment[j] == n - 1:
+            unplace(j)
+            j -= 1
+        if j < 0:
+            return out
+        unplace(j)
+        place(j, assignment[j] + 1)
+        for t in range(j + 1, m):
+            place(t, 0)
 
 
 def max_nash_welfare(
@@ -284,36 +334,37 @@ def max_nash_welfare(
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.time_budget
     values = inst.values
-    totals = [0] * n
+    # Odometer over assignment vectors in lexicographic order, from all zeros.
     assignment = [0] * m
+    totals = [0] * n
+    totals[0] = sum(values[0])
     best_key: tuple[int, int] | None = None
     best_assignment: list[int] | None = None
     leaves = 0
-
-    def walk(j: int) -> None:
-        nonlocal best_key, best_assignment, leaves
-        if j == m:
-            leaves += 1
-            if leaves % 4096 == 0:
-                if leaves > limits.node_budget:
-                    raise BudgetExceededError("node budget exhausted")
-                if time.monotonic() > deadline:
-                    raise BudgetExceededError("time budget exhausted")
-            served = sum(1 for t in totals if t > 0)
-            product = math.prod(t for t in totals if t > 0)
-            key = (served, product)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_assignment = assignment.copy()
-            return
-        for a in range(n):
-            assignment[j] = a
-            totals[a] += values[a][j]
-            walk(j + 1)
-            totals[a] -= values[a][j]
-        assignment[j] = 0
-
-    walk(0)
+    while True:
+        leaves += 1
+        if leaves > limits.node_budget:
+            raise BudgetExceededError("node budget exhausted")
+        if leaves % 4096 == 0 and time.monotonic() > deadline:
+            raise BudgetExceededError("time budget exhausted")
+        served = sum(1 for t in totals if t > 0)
+        product = math.prod(t for t in totals if t > 0)
+        key = (served, product)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_assignment = assignment.copy()
+        j = m - 1
+        while j >= 0 and assignment[j] == n - 1:
+            totals[n - 1] -= values[n - 1][j]
+            totals[0] += values[0][j]
+            assignment[j] = 0
+            j -= 1
+        if j < 0:
+            break
+        a = assignment[j]
+        totals[a] -= values[a][j]
+        totals[a + 1] += values[a + 1][j]
+        assignment[j] = a + 1
     assert best_assignment is not None
     bundles = [set() for _ in range(n)]
     for item, agent in enumerate(best_assignment):

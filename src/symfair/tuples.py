@@ -126,27 +126,32 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
                     best = v
         return best
 
-    def extend(colored: int, used: int) -> bool:
-        if colored == m:
-            return True
-        v = pick()
-        limit = min(used + 1, k)
-        for c in range(1, limit + 1):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            touched = [u for u in adj[v] if colors[u] == 0 and c not in neighbor_colors[u]]
-            for u in touched:
-                neighbor_colors[u].add(c)
-            if extend(colored + 1, max(used, c)):
-                return True
+    # One frame per colored vertex: [vertex, colors used before it, its color,
+    # the uncolored neighbors that color was added to]. Color 0 means none yet.
+    stack = [[pick(), 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        v, used, c, touched = frame
+        if c:
             for u in touched:
                 neighbor_colors[u].discard(c)
             colors[v] = 0
-        return False
-
-    if extend(0, 0):
-        return tuple(colors)
+        limit = min(used + 1, k)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c > limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        touched = [u for u in adj[v] if colors[u] == 0 and c not in neighbor_colors[u]]
+        for u in touched:
+            neighbor_colors[u].add(c)
+        frame[2] = c
+        frame[3] = touched
+        if len(stack) == m:
+            return tuple(colors)
+        stack.append([pick(), max(used, c), 0, []])
     return None
 
 

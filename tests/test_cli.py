@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import symfair as sf
@@ -75,6 +77,15 @@ def test_solve_roundtrips_through_check(files, capsys, tmp_path):
         out_path.write_text(captured.out)
         assert main(["check", inst, str(out_path), "--mode=symef1"]) == 0
         capsys.readouterr()
+
+
+def test_solve_large_two_agent_instance(files, capsys):
+    rng = random.Random(38)
+    rows = [[rng.randint(0, 10**4) for _ in range(1500)] for _ in range(2)]
+    inst = files("big.txt", "2 1500\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    assert main(["solve", inst]) == 0
+    out = capsys.readouterr().out
+    assert sf.is_symef1(sf.Instance.from_rows(rows), sf.parse_partition(out, 2, 1500))
 
 
 def test_solve_constructive(files, capsys):

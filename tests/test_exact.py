@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +58,40 @@ def test_node_budget_reports_exhaustion():
     outcome = sf.exact_symef1(inst, sf.SearchLimits(node_budget=3, time_budget=60.0))
     assert outcome.status is sf.ExactStatus.BUDGET_EXCEEDED
     assert outcome.nodes > 3
+
+
+def test_large_m_ends_in_budget_not_recursion_error():
+    rng = random.Random(36)
+    limits = sf.SearchLimits(node_budget=20_000, time_budget=60.0)
+    inst = rand_instance(rng, 2, 1200, 10**4)
+    outcome = sf.exact_symef1(inst, limits)
+    assert isinstance(outcome, sf.ExactOutcome)
+    if outcome.found:
+        assert sf.is_symef1(inst, outcome.partition)
+    with pytest.raises(sf.BudgetExceededError):
+        sf.enumerate_symef1(rand_instance(rng, 2, 1200, 10**4), limits, force=True)
+
+
+def test_witness_check_failure_raises(monkeypatch):
+    monkeypatch.setattr("symfair.exact.is_symef1", lambda inst, partition: False)
+    with pytest.raises(RuntimeError, match="n=2, m=3"):
+        sf.exact_symef1(sf.Instance.from_rows([[5, 3, 2], [1, 4, 4]]))
+
+
+def test_witness_check_survives_optimized_mode():
+    script = (
+        "import symfair, symfair.exact as e\n"
+        "e.is_symef1 = lambda inst, partition: False\n"
+        "try:\n"
+        "    e.exact_symef1(symfair.Instance.from_rows([[5, 3, 2], [1, 4, 4]]))\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert result.returncode == 0
 
 
 def test_search_limits_validation():
@@ -117,6 +154,7 @@ def test_oracle_equivalence_on_random_instances():
         with_prune = sf.exact_symef1(inst)
         without = sf.exact_symef1(inst, prune=False)
         assert with_prune.found == without.found == bool(reference)
+        assert with_prune.partition == without.partition
 
 
 def test_pairs_guaranteed_for_two_agents_four_distinct_items():
@@ -167,6 +205,12 @@ def test_mnw_prefers_serving_more_agents():
     inst = sf.Instance.from_rows([[5], [3]])
     assignment = sf.max_nash_welfare(inst)
     assert assignment.partition.bundles == (frozenset({0}), frozenset())
+
+
+def test_mnw_node_budget_checked_at_every_leaf():
+    inst = rand_instance(random.Random(37), 3, 6, 20)  # 729 leaves
+    with pytest.raises(sf.BudgetExceededError):
+        sf.max_nash_welfare(inst, sf.SearchLimits(node_budget=5, time_budget=60.0))
 
 
 def test_mnw_tie_breaks_lexicographically():
