@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .constructive import GroupStructure, agent_round_robin, detect_groups, grouped_allocation
 from .core import (
     Assignment,
-    BundleStats,
     Instance,
     ParseError,
     Partition,
-    bundle_stats,
     bundle_value,
     first_ef1_violation,
     first_symef1_violation,
@@ -47,12 +45,10 @@ from .exact import (
 from .heuristic import (
     HeuristicResult,
     HeuristicStats,
-    default_item_order,
     extend_allocation,
     greedy_symef1,
     order_items,
 )
-from .sim import SimConfig, SimReport, emit_csv, random_instance, replication_seed, run_simulation
 from .tuples import (
     ItemGraph,
     build_item_graph,
@@ -68,7 +64,6 @@ from .tuples import (
 
 __all__ = [
     "Assignment",
-    "BundleStats",
     "BudgetExceededError",
     "ExactOutcome",
     "ExactStatus",
@@ -84,13 +79,11 @@ __all__ = [
     "SimReport",
     "agent_round_robin",
     "build_item_graph",
-    "bundle_stats",
     "bundle_value",
     "canonical_partition",
     "coloring_to_partition",
     "components",
     "count_lower_bound",
-    "default_item_order",
     "detect_groups",
     "emit_csv",
     "enumerate_symef1",
@@ -126,3 +119,18 @@ __all__ = [
     "separates_tuples",
     "validate_partition",
 ]
+
+# The simulation layer needs numpy, which costs more to import than the rest of
+# the package together; load it on first use so the CLI and the library's
+# checks start without it.
+_SIM_NAMES = frozenset(
+    ("SimConfig", "SimReport", "emit_csv", "random_instance", "replication_seed", "run_simulation")
+)
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes are stable: 0 success or satisfied, 1 violated / infeasible /
-not found / not applicable, 2 file or parse error, 3 search budget exhausted.
+not found / not applicable, 2 file or parse error, 3 search budget exhausted,
+4 internal error (a bug: an unexpected exception, or a constructed partition
+that fails its symEF1 check), reported as one line on stderr.
 On success ``solve``, ``color``, and ``mnw`` write nothing to stdout except a
 partition in the n-line file format, so their output pipes straight back into
 ``check``; diagnostics (provenance, heuristic stats, welfare, progress) go to
@@ -25,6 +27,7 @@ from .core import (
     first_symefx_violation,
     format_partition,
     is_balanced,
+    is_symef1,
     nash_welfare,
     parse_instance,
     parse_partition,
@@ -39,13 +42,13 @@ from .exact import (
     max_nash_welfare,
 )
 from .heuristic import greedy_symef1, order_items
-from .sim import SimConfig, emit_csv, run_simulation
 from .tuples import build_item_graph, coloring_to_partition, graph_to_dot, k_color
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -59,6 +62,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError:
         print("BUDGET_EXCEEDED")
         return EXIT_BUDGET
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,6 +243,7 @@ def _cmd_solve(args) -> int:
     for stage in stages:
         partition, token, code = _solve_stage(inst, stage, args)
         if partition is not None:
+            _verify(inst, partition, stage)
             print(f"solved by: {token}", file=sys.stderr)
             sys.stdout.write(format_partition(partition))
             return EXIT_OK
@@ -243,6 +251,19 @@ def _cmd_solve(args) -> int:
             break
     print(token)
     return code
+
+
+def _verify(inst: Instance, partition: Partition, stage: str) -> None:
+    """Refuse to print a stage's partition unless it passes the symEF1 check.
+
+    An explicit test rather than an ``assert``, so it also runs under ``python -O``.
+    """
+    try:
+        ok = is_symef1(inst, partition)
+    except ValueError:  # wrong bundle count or item cover
+        ok = False
+    if not ok:
+        raise RuntimeError(f"the {stage} stage returned a partition that is not symEF1")
 
 
 def _cmd_graph(args) -> int:
@@ -257,11 +278,7 @@ def _cmd_color(args) -> int:
     if coloring is None:
         print(f"INFEASIBLE k={args.k}")
         return EXIT_UNSAT
-    bundles = [[] for _ in range(args.k)]
-    for item, color in enumerate(coloring):
-        bundles[color - 1].append(item)
-    for bundle in bundles:
-        print(" ".join(str(j + 1) for j in sorted(bundle)))
+    sys.stdout.write(format_partition(coloring_to_partition(coloring, args.k)))
     return EXIT_OK
 
 
@@ -290,6 +307,8 @@ def _cmd_export_ip(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import SimConfig, emit_csv, run_simulation
+
     cfg = SimConfig(
         n_list=_parse_int_list(args.n),
         m_list=_parse_int_list(args.m),

@@ -100,15 +100,6 @@ class Assignment:
             raise ValueError("owner must be a permutation of the bundle indices")
 
 
-@dataclass(frozen=True)
-class BundleStats:
-    """Derived per-bundle view for one agent: total, best item, worst item."""
-
-    value: int
-    max_item: int
-    min_item: int
-
-
 def bundle_value(inst: Instance, i: int, items: Iterable[int]) -> int:
     """Agent i's additive value for a set of items (0 for the empty set)."""
     row = inst.values[_check_agent(inst, i)]
@@ -129,15 +120,6 @@ def min_item_value(inst: Instance, i: int, items: Iterable[int]) -> int:
     """Smallest single-item value in the set for agent i; 0 for the empty set."""
     row = inst.values[_check_agent(inst, i)]
     return min((row[_check_item(inst, j)] for j in items), default=0)
-
-
-def bundle_stats(inst: Instance, i: int, items: Iterable[int]) -> BundleStats:
-    items = list(items)
-    return BundleStats(
-        value=bundle_value(inst, i, items),
-        max_item=max_item_value(inst, i, items),
-        min_item=min_item_value(inst, i, items),
-    )
 
 
 def is_ef1_satisfied(inst: Instance, i: int, k: int, partition: Partition) -> bool:

@@ -16,6 +16,20 @@ answer.
 
 Bundles, donor/recipient pairs, and swap candidates are scanned in ascending
 index order, so runs are reproducible for a fixed item order.
+
+Cost model. The partial partition lives in a ``_Table`` that keeps, for every
+(agent, bundle), the bundle's sum and its two largest item values (as a
+multiset, so a tied best item appears twice). A move touches at most two
+bundles k and l, so whether it keeps symEF1 depends, per agent, only on the
+new sums and maxima of k and l and on two numbers over the other bundles: the
+smallest sum and the largest (sum - best item). Those two are computed once
+per bundle pair and state, and every candidate insert, relocation or swap is
+then scored in O(1) per agent without touching the table, stopping at the
+first agent it fails. Only the accepted move is applied: an insert costs
+O(n), and a removal rescans a bundle for one agent only when the removed item
+was one of that agent's two largest in it. An item that failed all three
+repairs is not retried until some other item has been placed, since the same
+state would reject it again.
 """
 
 from __future__ import annotations
@@ -25,6 +39,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Instance, Partition
+
+_INF = float("inf")
 
 
 @dataclass
@@ -50,115 +66,225 @@ class HeuristicResult:
         return self.partition is not None
 
 
-class _State:
-    """Partial partition with per-agent bundle sums and maxima kept incrementally.
+class _Table:
+    """Partial symEF1 partition with per-(agent, bundle) sum, best and second-best value.
 
-    The symEF1 test over allocated items then costs O(n^2); add is O(n) and
-    remove is O(n * bundle size) because a removed maximum forces a rescan.
+    ``sums[i][k]``, ``best[i][k]`` and ``second[i][k]`` describe bundle k as
+    agent i values it; an empty bundle has all three 0. The ``try_*`` methods
+    score every candidate of one repair case in scan order and commit the
+    first that keeps the partition symEF1, or leave the table unchanged.
+
+    Scoring assumes the table is symEF1 before the move, which every accepted
+    move preserves; the conditions that this invariant already guarantees
+    (for instance that a bundle gaining an item still covers every other
+    bundle's sum minus its best item) are not re-tested. With W = sum - best,
+    the state after a move is symEF1 iff, for every agent, the smallest sum is
+    at least the largest W, over the touched bundles and the untouched rest.
     """
 
-    __slots__ = ("values", "n", "bundles", "sums", "maxes")
+    __slots__ = (
+        "rows", "n", "bundles", "sums", "best", "second", "version", "_ext", "_pairs", "_sorted"
+    )
 
     def __init__(self, inst: Instance, bundles: Sequence[Iterable[int]]):
-        self.values = inst.values
-        self.n = inst.n
+        self.rows = inst.values
+        self.n = n = inst.n
         self.bundles = [set(b) for b in bundles]
-        if len(self.bundles) != inst.n:
+        if len(self.bundles) != n:
             raise ValueError("need exactly one bundle per agent")
-        self.sums = [[0] * inst.n for _ in range(inst.n)]
-        self.maxes = [[0] * inst.n for _ in range(inst.n)]
-        for k, bundle in enumerate(self.bundles):
-            for i in range(inst.n):
-                row = self.values[i]
-                self.sums[i][k] = sum(row[j] for j in bundle)
-                self.maxes[i][k] = max((row[j] for j in bundle), default=0)
+        self.sums = [[0] * n for _ in range(n)]
+        self.best = [[0] * n for _ in range(n)]
+        self.second = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                self._rescan(i, k)
+        self.version = 0
+        self._ext: list[tuple] | None = None
+        self._pairs: dict[tuple[int, int], list[tuple]] = {}
+        self._sorted: list[list[int] | None] = [None] * n
 
-    def add(self, k: int, j: int) -> None:
-        self.bundles[k].add(j)
-        for i in range(self.n):
-            v = self.values[i][j]
-            self.sums[i][k] += v
-            if v > self.maxes[i][k]:
-                self.maxes[i][k] = v
-
-    def remove(self, k: int, j: int) -> None:
-        self.bundles[k].discard(j)
-        for i in range(self.n):
-            row = self.values[i]
+    def _rescan(self, i: int, k: int) -> None:
+        row = self.rows[i]
+        total = b1 = b2 = 0
+        for j in self.bundles[k]:
             v = row[j]
-            self.sums[i][k] -= v
-            if v == self.maxes[i][k]:
-                self.maxes[i][k] = max((row[u] for u in self.bundles[k]), default=0)
+            total += v
+            if v > b1:
+                b1, b2 = v, b1
+            elif v > b2:
+                b2 = v
+        self.sums[i][k] = total
+        self.best[i][k] = b1
+        self.second[i][k] = b2
 
-    def symef1_now(self) -> bool:
-        for i in range(self.n):
-            sums = self.sums[i]
-            maxes = self.maxes[i]
-            worst = max(sums[l] - maxes[l] for l in range(self.n))
-            if min(sums) < worst:
+    def is_symef1(self) -> bool:
+        for s, b in zip(self.sums, self.best):
+            if min(s) < max(x - y for x, y in zip(s, b)):
                 return False
         return True
-
-    def snapshot(self) -> tuple:
-        return (
-            [set(b) for b in self.bundles],
-            [list(r) for r in self.sums],
-            [list(r) for r in self.maxes],
-        )
-
-    def matches(self, snap: tuple) -> bool:
-        return self.bundles == snap[0] and self.sums == snap[1] and self.maxes == snap[2]
 
     def to_partition(self) -> Partition:
         return Partition(tuple(frozenset(b) for b in self.bundles))
 
+    # -- committing ---------------------------------------------------------
 
-def _try_case1(state: _State, j: int) -> bool:
-    for k in range(state.n):
-        state.add(k, j)
-        if state.symef1_now():
-            return True
-        state.remove(k, j)
-    return False
+    def _add(self, k: int, j: int) -> None:
+        self.bundles[k].add(j)
+        for i in range(self.n):
+            v = self.rows[i][j]
+            self.sums[i][k] += v
+            best, second = self.best[i], self.second[i]
+            if v > best[k]:
+                second[k] = best[k]
+                best[k] = v
+            elif v > second[k]:
+                second[k] = v
 
+    def _remove(self, k: int, j: int) -> None:
+        self.bundles[k].discard(j)
+        for i in range(self.n):
+            v = self.rows[i][j]
+            if v >= self.second[i][k]:
+                self._rescan(i, k)
+            else:
+                self.sums[i][k] -= v
 
-def _try_case2(state: _State, j: int) -> bool:
-    for k in range(state.n):
-        for l in range(state.n):
-            if l == k:
+    def _commit(self, k: int, j: int, moves: Sequence[tuple[int, int, int]] = ()) -> None:
+        """Apply ``moves`` as (item, from bundle, to bundle), then insert j into k."""
+        for item, src, dst in moves:
+            self._remove(src, item)
+        for item, src, dst in moves:
+            self._add(dst, item)
+        self._add(k, j)
+        self.version += 1
+        self._ext = None
+        self._pairs.clear()
+        self._sorted = [None] * self.n
+
+    # -- per-state constants ------------------------------------------------
+
+    def _sorted_bundle(self, k: int) -> list[int]:
+        items = self._sorted[k]
+        if items is None:
+            items = self._sorted[k] = sorted(self.bundles[k])
+        return items
+
+    def _extremes(self) -> list[tuple]:
+        """Per agent: (row, sums, best, (sum, bundle) ascending, (W, bundle) descending).
+
+        Each list ends in a sentinel, (infinity, -1) or (0, -1), so a scan that
+        skips the touched bundles always stops within three entries."""
+        if self._ext is None:
+            bundles = range(self.n)
+            self._ext = [
+                (
+                    row, s, b,
+                    sorted(zip(s, bundles)) + [(_INF, -1)],
+                    sorted(zip([x - y for x, y in zip(s, b)], bundles), reverse=True) + [(0, -1)],
+                )
+                for row, s, b in zip(self.rows, self.sums, self.best)
+            ]
+        return self._ext
+
+    def _pair(self, k: int, l: int) -> list[tuple]:
+        """Per agent: (row, sum_k, best_k, second_k, sum_l, best_l, second_l, lo, hi).
+
+        lo is the smallest sum and hi the largest W over the bundles other than
+        k and l (infinity and 0 when there are none; W is never negative).
+        """
+        consts = self._pairs.get((k, l))
+        if consts is None:
+            consts = self._pairs[k, l] = []
+            for (row, s, b, lows, highs), c in zip(self._extremes(), self.second):
+                for lo, x in lows:
+                    if x != k and x != l:
+                        break
+                for hi, x in highs:
+                    if x != k and x != l:
+                        break
+                consts.append((row, s[k], b[k], c[k], s[l], b[l], c[l], lo, hi))
+        return consts
+
+    # -- the three repairs --------------------------------------------------
+
+    def try_insert(self, j: int) -> bool:
+        """Case 1: put j into the first bundle that stays symEF1."""
+        cols = [(row[j], s, b, min(s)) for row, s, b in zip(self.rows, self.sums, self.best)]
+        for k in range(self.n):
+            for v, s, b, lo in cols:
+                top = b[k]
+                # Only bundle k changes. Its new W is at most its old sum, so it
+                # fits under every new sum iff it fits under the old smallest.
+                if s[k] + v - (v if v > top else top) > lo:
+                    break
+            else:
+                self._commit(k, j)
+                return True
+        return False
+
+    def try_relocate(self, j: int) -> bool:
+        """Case 2: move one item of bundle k to bundle l, then put j into k."""
+        n = self.n
+        for k in range(n):
+            items_k = self._sorted_bundle(k)
+            if not items_k:
                 continue
-            for jk in sorted(state.bundles[k]):
-                state.remove(k, jk)
-                state.add(k, j)
-                state.add(l, jk)
-                if state.symef1_now():
-                    return True
-                state.remove(l, jk)
-                state.remove(k, j)
-                state.add(k, jk)
-    return False
-
-
-def _try_case3(state: _State, j: int) -> bool:
-    for k in range(state.n):
-        for l in range(state.n):
-            if l == k:
-                continue
-            for jk in sorted(state.bundles[k]):
-                for jl in sorted(state.bundles[l]):
-                    state.remove(k, jk)
-                    state.remove(l, jl)
-                    state.add(k, j)
-                    state.add(k, jl)
-                    state.add(l, jk)
-                    if state.symef1_now():
+            for l in range(n):
+                if l == k:
+                    continue
+                consts = self._pair(k, l)
+                for jk in items_k:
+                    for row, sk, b1k, b2k, sl, b1l, _, lo, hi in consts:
+                        v = row[j]
+                        a = row[jk]
+                        sk2 = sk - a + v
+                        top = b2k if a == b1k else b1k
+                        wk = sk2 - (v if v > top else top)
+                        sl2 = sl + a
+                        wl = sl2 - (a if a > b1l else b1l)
+                        # Bundle l only grows, so its sum still covers hi.
+                        if sk2 < wl or sk2 < hi or sl2 < wk or lo < wk or lo < wl:
+                            break
+                    else:
+                        self._commit(k, j, ((jk, k, l),))
                         return True
-                    state.remove(l, jk)
-                    state.remove(k, jl)
-                    state.remove(k, j)
-                    state.add(l, jl)
-                    state.add(k, jk)
-    return False
+        return False
+
+    def try_swap(self, j: int) -> bool:
+        """Case 3: swap an item of bundle k with one of bundle l, then put j into k."""
+        n = self.n
+        for k in range(n):
+            items_k = self._sorted_bundle(k)
+            if not items_k:
+                continue
+            for l in range(n):
+                if l == k:
+                    continue
+                items_l = self._sorted_bundle(l)
+                if not items_l:
+                    continue
+                consts = self._pair(k, l)
+                for jk in items_k:
+                    for jl in items_l:
+                        for row, sk, b1k, b2k, sl, b1l, b2l, lo, hi in consts:
+                            v = row[j]
+                            a = row[jk]
+                            b = row[jl]
+                            sk2 = sk - a + v + b
+                            top = b2k if a == b1k else b1k
+                            if v > top:
+                                top = v
+                            wk = sk2 - (b if b > top else top)
+                            sl2 = sl - b + a
+                            top = b2l if b == b1l else b1l
+                            wl = sl2 - (a if a > top else top)
+                            if (sk2 < wl or sk2 < hi or sl2 < wk or sl2 < hi
+                                    or lo < wk or lo < wl):
+                                break
+                        else:
+                            self._commit(k, j, ((jk, k, l), (jl, l, k)))
+                            return True
+        return False
 
 
 def extend_allocation(
@@ -172,26 +298,30 @@ def extend_allocation(
     lists the unallocated items in the order they will be offered. Stats count
     only items placed here.
     """
-    state = _State(inst, bundles)
-    allocated = set().union(*state.bundles, set())
+    table = _Table(inst, bundles)
+    allocated = set().union(*table.bundles, set())
     pending = list(pending)
     if allocated | set(pending) != set(range(inst.m)) or allocated & set(pending):
         raise ValueError("bundles plus pending must partition the item set")
-    if not state.symef1_now():
+    if not table.is_symef1():
         raise ValueError("starting bundles are not symEF1 over their items")
 
     stats = HeuristicStats()
+    rejected_at: dict[int, int] = {}  # item -> table version that rejected it
     progress = True
     while pending and progress:
         progress = False
         for j in list(pending):
-            if _try_case1(state, j):
+            if rejected_at.get(j) == table.version:
+                continue
+            if table.try_insert(j):
                 stats.placed_case1 += 1
-            elif _try_case2(state, j):
+            elif table.try_relocate(j):
                 stats.placed_case2 += 1
-            elif _try_case3(state, j):
+            elif table.try_swap(j):
                 stats.placed_case3 += 1
             else:
+                rejected_at[j] = table.version
                 continue
             pending.remove(j)
             progress = True
@@ -199,27 +329,23 @@ def extend_allocation(
     if pending:
         stats.failed = True
         return HeuristicResult(None, stats)
-    return HeuristicResult(state.to_partition(), stats)
+    return HeuristicResult(table.to_partition(), stats)
 
 
 def greedy_symef1(inst: Instance, item_order: Sequence[int] | None = None) -> HeuristicResult:
     """Build a symEF1 partition greedily from scratch, or report failure."""
     if item_order is None:
-        item_order = default_item_order(inst)
+        item_order = range(inst.m)
     if sorted(item_order) != list(range(inst.m)):
         raise ValueError("item_order must be a permutation of the items")
     empty = [frozenset() for _ in range(inst.n)]
     return extend_allocation(inst, empty, list(item_order))
 
 
-def default_item_order(inst: Instance) -> tuple[int, ...]:
-    return tuple(range(inst.m))
-
-
 def order_items(inst: Instance, mode: str = "index", seed: int | None = None) -> tuple[int, ...]:
     """Item orders exposed on the command line; success can depend on order."""
     if mode == "index":
-        return default_item_order(inst)
+        return tuple(range(inst.m))
     if mode == "desc-total-value":
         totals = [sum(inst.values[i][j] for i in range(inst.n)) for j in range(inst.m)]
         return tuple(sorted(range(inst.m), key=lambda j: (-totals[j], j)))

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,66 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "symfair" in capsys.readouterr().out
+
+
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_import_leaves_numpy_unloaded():
+    script = (
+        "import sys, symfair, symfair.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
+        "assert symfair.random_instance is symfair.sim.random_instance\n"
+        "assert symfair.SimConfig.__name__ == 'SimConfig'\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert set(sf.__all__) >= {"SimConfig", "SimReport", "emit_csv", "random_instance",
+                               "replication_seed", "run_simulation"}
+    with pytest.raises(AttributeError):
+        sf.no_such_name
+
+
+def test_solve_unverified_partition_exits_4(files, capsys, monkeypatch):
+    inst = files("inst.txt", WELFARE)
+    monkeypatch.setattr("symfair.cli.is_symef1", lambda inst, partition: False)
+    assert main(["solve", inst, "--strategy=heuristic"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("internal error: RuntimeError: the heuristic")
+    assert "Traceback" not in captured.err
+
+
+def test_solve_verification_survives_optimized_mode(files):
+    inst = files("inst.txt", WELFARE)
+    script = (
+        "import sys, symfair.cli as c\n"
+        "c.is_symef1 = lambda inst, partition: False\n"
+        f"sys.exit(c.main(['solve', {inst!r}, '--strategy=heuristic']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=_subprocess_env(), capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].startswith("internal error:")
+
+
+def test_unexpected_exception_exits_4_with_one_line(files, capsys, monkeypatch):
+    inst = files("inst.txt", CLIQUE)
+
+    def broken(graph, k):
+        raise RuntimeError("bad\nstate")
+
+    monkeypatch.setattr("symfair.cli.k_color", broken)
+    assert main(["color", inst, "--k=3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: bad state\n"

@@ -132,12 +132,6 @@ def test_bundle_value_range_check():
         sf.bundle_value(three_agent_blocker(), 5, {0})
 
 
-def test_bundle_stats_conventions():
-    inst = sf.Instance.from_rows([[4, 1, 3]])
-    assert sf.bundle_stats(inst, 0, {0, 2}) == sf.BundleStats(value=7, max_item=4, min_item=3)
-    assert sf.bundle_stats(inst, 0, set()) == sf.BundleStats(value=0, max_item=0, min_item=0)
-
-
 # ---------------------------------------------------------------------------
 # EF1 / symEF1 / symEFX
 # ---------------------------------------------------------------------------

@@ -1,13 +1,171 @@
 import random
+from typing import Iterable, Sequence
 
 import pytest
 
 import symfair as sf
-from symfair.heuristic import _State, _try_case1, _try_case2, _try_case3
+from symfair.core import Instance, Partition
+from symfair.heuristic import HeuristicStats, _Table
 from helpers import lab, rand_instance, single_swap_trap
 
 TRAP = single_swap_trap()
 TRAP_PARTIAL = [lab("abcd", "abcdefghj"), lab("efgh", "abcdefghj")]
+REPAIRS = (_Table.try_insert, _Table.try_relocate, _Table.try_swap)
+
+
+# ---------------------------------------------------------------------------
+# Reference builder for the equivalence test: the straightforward
+# mutate/check/undo implementation, which applies every candidate move, runs
+# the O(n^2) symEF1 test and undoes the move. ``_Table`` must accept the same
+# first move in every state.
+# ---------------------------------------------------------------------------
+
+
+class _State:
+    """Partial partition with per-agent bundle sums and maxima kept incrementally.
+
+    The symEF1 test over allocated items then costs O(n^2); add is O(n) and
+    remove is O(n * bundle size) because a removed maximum forces a rescan.
+    """
+
+    __slots__ = ("values", "n", "bundles", "sums", "maxes")
+
+    def __init__(self, inst: Instance, bundles: Sequence[Iterable[int]]):
+        self.values = inst.values
+        self.n = inst.n
+        self.bundles = [set(b) for b in bundles]
+        if len(self.bundles) != inst.n:
+            raise ValueError("need exactly one bundle per agent")
+        self.sums = [[0] * inst.n for _ in range(inst.n)]
+        self.maxes = [[0] * inst.n for _ in range(inst.n)]
+        for k, bundle in enumerate(self.bundles):
+            for i in range(inst.n):
+                row = self.values[i]
+                self.sums[i][k] = sum(row[j] for j in bundle)
+                self.maxes[i][k] = max((row[j] for j in bundle), default=0)
+
+    def add(self, k: int, j: int) -> None:
+        self.bundles[k].add(j)
+        for i in range(self.n):
+            v = self.values[i][j]
+            self.sums[i][k] += v
+            if v > self.maxes[i][k]:
+                self.maxes[i][k] = v
+
+    def remove(self, k: int, j: int) -> None:
+        self.bundles[k].discard(j)
+        for i in range(self.n):
+            row = self.values[i]
+            v = row[j]
+            self.sums[i][k] -= v
+            if v == self.maxes[i][k]:
+                self.maxes[i][k] = max((row[u] for u in self.bundles[k]), default=0)
+
+    def symef1_now(self) -> bool:
+        for i in range(self.n):
+            sums = self.sums[i]
+            maxes = self.maxes[i]
+            worst = max(sums[l] - maxes[l] for l in range(self.n))
+            if min(sums) < worst:
+                return False
+        return True
+
+    def to_partition(self) -> Partition:
+        return Partition(tuple(frozenset(b) for b in self.bundles))
+
+
+def _try_case1(state: _State, j: int) -> bool:
+    for k in range(state.n):
+        state.add(k, j)
+        if state.symef1_now():
+            return True
+        state.remove(k, j)
+    return False
+
+
+def _try_case2(state: _State, j: int) -> bool:
+    for k in range(state.n):
+        for l in range(state.n):
+            if l == k:
+                continue
+            for jk in sorted(state.bundles[k]):
+                state.remove(k, jk)
+                state.add(k, j)
+                state.add(l, jk)
+                if state.symef1_now():
+                    return True
+                state.remove(l, jk)
+                state.remove(k, j)
+                state.add(k, jk)
+    return False
+
+
+def _try_case3(state: _State, j: int) -> bool:
+    for k in range(state.n):
+        for l in range(state.n):
+            if l == k:
+                continue
+            for jk in sorted(state.bundles[k]):
+                for jl in sorted(state.bundles[l]):
+                    state.remove(k, jk)
+                    state.remove(l, jl)
+                    state.add(k, j)
+                    state.add(k, jl)
+                    state.add(l, jk)
+                    if state.symef1_now():
+                        return True
+                    state.remove(l, jk)
+                    state.remove(k, jl)
+                    state.remove(k, j)
+                    state.add(l, jl)
+                    state.add(k, jk)
+    return False
+
+
+def reference_extend(inst, bundles, pending):
+    """``extend_allocation``'s pass loop over ``_State``: (partition or None, stats)."""
+    state = _State(inst, bundles)
+    pending = list(pending)
+    stats = HeuristicStats()
+    progress = True
+    while pending and progress:
+        progress = False
+        for j in list(pending):
+            if _try_case1(state, j):
+                stats.placed_case1 += 1
+            elif _try_case2(state, j):
+                stats.placed_case2 += 1
+            elif _try_case3(state, j):
+                stats.placed_case3 += 1
+            else:
+                continue
+            pending.remove(j)
+            progress = True
+    if pending:
+        stats.failed = True
+        return None, stats
+    return state.to_partition(), stats
+
+
+def snapshot(table):
+    """Everything a move may change, copied."""
+    return (
+        [set(b) for b in table.bundles],
+        [list(r) for r in table.sums],
+        [list(r) for r in table.best],
+        [list(r) for r in table.second],
+        table.version,
+    )
+
+
+def consistent(inst, table):
+    """The table's sums and top-two values equal a rebuild from its bundles."""
+    return snapshot(table)[1:4] == snapshot(_Table(inst, table.bundles))[1:4]
+
+
+def partial_symef1(inst, bundles):
+    """symEF1 over the allocated items, by the reference's from-scratch check."""
+    return _State(inst, bundles).symef1_now()
 
 
 def test_all_items_fit_when_m_at_most_n():
@@ -26,11 +184,11 @@ def test_trap_state_rejects_every_repair():
 
 
 def test_trap_state_each_case_fails_and_restores():
-    state = _State(TRAP, TRAP_PARTIAL)
-    snap = state.snapshot()
-    for attempt in (_try_case1, _try_case2, _try_case3):
-        assert not attempt(state, 8)
-        assert state.matches(snap)
+    table = _Table(TRAP, TRAP_PARTIAL)
+    snap = snapshot(table)
+    for attempt in REPAIRS:
+        assert not attempt(table, 8)
+        assert snapshot(table) == snap
 
 
 def test_trap_completion_exists_anyway():
@@ -72,7 +230,7 @@ def test_random_runs_success_implies_valid_partition():
 
 def test_failed_attempts_always_restore_state():
     rng = random.Random(21)
-    checked = 0
+    checked = accepted = 0
     for _ in range(150):
         n = rng.randint(2, 4)
         m = rng.randint(2, 9)
@@ -84,31 +242,35 @@ def test_failed_attempts_always_restore_state():
         bundles = [set() for _ in range(n)]
         for j in keep:
             bundles[rng.randrange(n)].add(j)
-        probe = _State(inst, bundles)
-        if not probe.symef1_now():
+        if not partial_symef1(inst, bundles):
             continue
         j = pending[0]
-        for attempt in (_try_case1, _try_case2, _try_case3):
-            state = _State(inst, bundles)
-            snap = state.snapshot()
-            if attempt(state, j):
-                # Accepted moves keep the partial symEF1 and add exactly j.
-                assert state.symef1_now()
-                assert set().union(*state.bundles) == set(keep) | {j}
+        for attempt in REPAIRS:
+            table = _Table(inst, bundles)
+            snap = snapshot(table)
+            if attempt(table, j):
+                # Accepted moves keep the partial symEF1, add exactly j, and
+                # leave the table equal to a rebuild from its bundles.
+                accepted += 1
+                assert partial_symef1(inst, table.bundles)
+                assert set().union(*table.bundles) == set(keep) | {j}
+                assert consistent(inst, table)
             else:
                 checked += 1
-                assert state.matches(snap)
+                assert snapshot(table) == snap
     assert checked > 50
+    assert accepted > 50
 
 
 def test_partial_state_stays_symef1_after_each_placement():
     rng = random.Random(22)
     for _ in range(60):
         inst = rand_instance(rng, 3, 8, 15)
-        state = _State(inst, [set(), set(), set()])
+        table = _Table(inst, [set(), set(), set()])
         for j in range(8):
-            if _try_case1(state, j) or _try_case2(state, j) or _try_case3(state, j):
-                assert state.symef1_now()
+            if table.try_insert(j) or table.try_relocate(j) or table.try_swap(j):
+                assert partial_symef1(inst, table.bundles)
+                assert consistent(inst, table)
 
 
 def test_extend_allocation_validates_inputs():
@@ -124,7 +286,6 @@ def test_extend_allocation_validates_inputs():
 
 def test_item_orders():
     inst = sf.Instance.from_rows([[1, 5, 3], [2, 5, 1]])
-    assert sf.default_item_order(inst) == (0, 1, 2)
     assert sf.order_items(inst, "index") == (0, 1, 2)
     # Totals are 3, 10, 4: descending with index tie-break.
     assert sf.order_items(inst, "desc-total-value") == (1, 2, 0)
@@ -154,3 +315,36 @@ def test_rescan_picks_up_previously_rejected_items():
         if result.stats.placed_case2 + result.stats.placed_case3 > 0:
             rescued += 1
     assert rescued > 30
+
+
+def test_kernel_matches_reference_builder():
+    # Same partition and the same per-case counts as the mutate/check/undo
+    # reference, from scratch and from random symEF1 partial states. Small
+    # value ranges make ties between items and between bundles common. m stops
+    # at 12 for n >= 5, where the reference's failed runs cost the most.
+    rng = random.Random(24)
+    partial_starts = failures = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 16 if n <= 4 else 12)
+        M = rng.choice((1, 2, 3, 10, 100, 10**4))
+        inst = sf.Instance.from_rows([[rng.randint(0, M) for _ in range(m)] for _ in range(n)])
+        order = list(range(m))
+        rng.shuffle(order)
+        keep = order[: rng.randint(0, min(m, 2 * n))]
+        bundles = [set() for _ in range(n)]
+        for j in keep:
+            bundles[rng.randrange(n)].add(j)
+        if keep and partial_symef1(inst, bundles):
+            partial_starts += 1
+            pending = order[len(keep):]
+            result = sf.extend_allocation(inst, bundles, pending)
+        else:
+            bundles = [set() for _ in range(n)]
+            pending = order
+            result = sf.greedy_symef1(inst, order)
+        expected = reference_extend(inst, bundles, pending)
+        assert (result.partition, result.stats) == expected
+        failures += result.stats.failed
+    assert partial_starts > 500
+    assert failures > 200

@@ -59,6 +59,29 @@ def test_reports_are_worker_count_invariant():
     # wall_seconds is a timing and is intentionally left uncompared.
 
 
+def test_statistics_columns_pinned_for_seed_42():
+    # Every column but wall_seconds, as the mutate/check/undo greedy builder
+    # produced them; a faster builder or search must reproduce them exactly.
+    pinned = {
+        (3, 8, M4): (100.0, 75.51020408163265, 23.46938775510204, 1.0204081632653061, 2.0),
+        (4, 6, 10): (44.0, 83.33333333333333, 16.666666666666668, 0.0, 68.0),
+        (4, 8, M4): (92.0, 72.5, 27.5, 0.0, 80.0),
+        (5, 10, M4): (72.0, 0.0, 0.0, 0.0, 100.0),
+        (3, 15, M4): (100.0, 73.75886524822695, 25.24822695035461, 0.9929078014184397, 6.0),
+    }
+    for (n, m, M), expected in pinned.items():
+        cfg = SimConfig(n_list=(n,), m_list=(m,), M_list=(M,), replications=50, master_seed=42)
+        (report,) = run_simulation(cfg, workers=1)
+        assert (report.n, report.m, report.M, report.excluded) == (n, m, M, 0)
+        assert (
+            report.pct_symef1,
+            report.pct_case1,
+            report.pct_case2,
+            report.pct_case3,
+            report.pct_exact_fallback,
+        ) == expected
+
+
 def test_case_percentages_sum_over_heuristic_successes():
     cfg = SimConfig(n_list=(3,), m_list=(6,), M_list=(M4,), replications=150, master_seed=11)
     report = run_simulation(cfg, workers=1)[0]
