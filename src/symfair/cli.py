@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Exit codes are stable: 0 success or satisfied, 1 violated / infeasible /
-not found / not applicable, 2 file or parse error, 3 search budget exhausted,
-4 internal error (a bug: an unexpected exception, or a constructed partition
-that fails its symEF1 check), reported as one line on stderr.
+not found / not applicable, 2 file, parse, or option error, 3 search budget
+exhausted, 4 internal error (a bug: an unexpected exception, or a constructed
+partition that fails its symEF1 check), reported as one line on stderr.
+Input errors reach ``main`` as :class:`ParseError` or :class:`OSError`; a bare
+``ValueError`` from inside the library is a bug and exits 4.
 On success ``solve``, ``color``, and ``mnw`` write nothing to stdout except a
 partition in the n-line file format, so their output pipes straight back into
 ``check``; diagnostics (provenance, heuristic stats, welfare, progress) go to
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from . import __version__
 from .constructive import detect_groups, grouped_allocation
@@ -36,6 +39,7 @@ from .exact import (
     BudgetExceededError,
     ExactStatus,
     SearchLimits,
+    check_enumeration_guard,
     enumerate_symef1,
     exact_symef1,
     export_ip,
@@ -56,7 +60,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError:
@@ -149,22 +153,42 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-budget", type=float, default=None)
 
 
+@contextmanager
+def _input_error() -> Iterator[None]:
+    """Report a ValueError from validating command-line input as exit 2.
+
+    Wrap only validation, never a computation: a ValueError from inside the
+    library is a bug and must reach ``main`` as one (exit 4).
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _limits(args) -> SearchLimits:
     defaults = SearchLimits()
-    return SearchLimits(
-        node_budget=defaults.node_budget if args.node_budget is None else args.node_budget,
-        time_budget=defaults.time_budget if args.time_budget is None else args.time_budget,
-    )
+    with _input_error():
+        return SearchLimits(
+            node_budget=defaults.node_budget if args.node_budget is None else args.node_budget,
+            time_budget=defaults.time_budget if args.time_budget is None else args.time_budget,
+        )
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_instance(path: str) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read_text(path))
 
 
 def _read_partition(path: str, inst: Instance) -> Partition:
-    with open(path, encoding="utf-8") as fh:
-        return parse_partition(fh.read(), n=inst.n, m=inst.m)
+    return parse_partition(_read_text(path), n=inst.n, m=inst.m)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -273,6 +297,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    if args.k < 1:
+        raise ParseError("--k must be at least 1")
     inst = _read_instance(args.instance)
     coloring = k_color(build_item_graph(inst), args.k)
     if coloring is None:
@@ -284,6 +310,8 @@ def _cmd_color(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     inst = _read_instance(args.instance)
+    with _input_error():
+        check_enumeration_guard(inst, args.force)
     partitions = enumerate_symef1(inst, _limits(args), force=args.force)
     rendered = sorted(_render_bundles(p) for p in partitions)
     for line in rendered:
@@ -294,6 +322,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_mnw(args) -> int:
     inst = _read_instance(args.instance)
+    with _input_error():
+        check_enumeration_guard(inst, args.force)
     assignment = max_nash_welfare(inst, _limits(args), force=args.force)
     sys.stdout.write(format_partition(assignment.partition))
     print(f"nash_welfare={nash_welfare(inst, assignment)}", file=sys.stderr)
@@ -309,14 +339,15 @@ def _cmd_export_ip(args) -> int:
 def _cmd_simulate(args) -> int:
     from .sim import SimConfig, emit_csv, run_simulation
 
-    cfg = SimConfig(
-        n_list=_parse_int_list(args.n),
-        m_list=_parse_int_list(args.m),
-        M_list=_parse_int_list(args.max_value),
-        replications=args.reps,
-        master_seed=args.seed,
-        limits=_limits(args),
-    )
+    with _input_error():
+        cfg = SimConfig(
+            n_list=_parse_int_list(args.n),
+            m_list=_parse_int_list(args.m),
+            M_list=_parse_int_list(args.max_value),
+            replications=args.reps,
+            master_seed=args.seed,
+            limits=_limits(args),
+        )
     reports = run_simulation(
         cfg, workers=args.workers, progress=lambda msg: print(msg, file=sys.stderr)
     )

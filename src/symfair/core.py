@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
-    """Malformed instance or partition text."""
+    """Malformed input: instance or partition text, or a command-line value."""
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,14 @@ class ExactOutcome:
 ENUMERATION_GUARD = 10**8
 
 
+def check_enumeration_guard(inst: Instance, force: bool = False) -> None:
+    """Raise ValueError when n^m exceeds the guard and ``force`` is not set."""
+    if not force and inst.n**inst.m > ENUMERATION_GUARD:
+        raise ValueError(
+            f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; pass force=True"
+        )
+
+
 def _search_order(inst: Instance) -> list[int]:
     # High-impact items first: descending total value, ties by index.
     totals = [sum(inst.values[i][j] for i in range(inst.n)) for j in range(inst.m)]
@@ -240,10 +248,7 @@ def enumerate_symef1(
     Refuses instances with n^m beyond the guard unless ``force`` is set;
     raises :class:`BudgetExceededError` when a budget runs out mid-search.
     """
-    if not force and inst.n**inst.m > ENUMERATION_GUARD:
-        raise ValueError(
-            f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; pass force=True"
-        )
+    check_enumeration_guard(inst, force)
     searcher = _Searcher(inst, limits or SearchLimits(), prune)
     return {canonical_partition(p) for p in searcher.leaves()}
 
@@ -326,11 +331,8 @@ def max_nash_welfare(
     beats serving two. Ties go to the lexicographically smallest assignment
     vector (agent index per item, items in natural order).
     """
+    check_enumeration_guard(inst, force)
     n, m = inst.n, inst.m
-    if not force and n**m > ENUMERATION_GUARD:
-        raise ValueError(
-            f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; pass force=True"
-        )
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.time_budget
     values = inst.values

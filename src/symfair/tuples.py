@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .core import Instance, Partition
 
@@ -104,6 +105,14 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
     by degree then lowest index. Color symmetry is broken by never opening
     color c+1 while color c is unused, so the first vertex colored always gets
     color 1. Colors are 1-based in the result.
+
+    The pick reads a lazy min-heap keyed (-saturation, -degree, vertex): every
+    change of a vertex's saturation, and every uncoloring on backtrack, pushes
+    a fresh entry, and a pop skips entries whose vertex is colored or whose
+    saturation is out of date. The heap is rebuilt from the uncolored vertices
+    once it holds more than 4m entries, so a pick costs amortised O(log m) per
+    entry pushed (a coloring step pushes at most one per neighbor) rather than
+    a scan of all m vertices.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -114,17 +123,24 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
     degree = [len(a) for a in adj]
     colors = [0] * m
     neighbor_colors: list[set[int]] = [set() for _ in range(m)]
+    heap = [(0, -degree[v], v) for v in range(m)]
+    heapify(heap)
+
+    def push(v: int) -> None:
+        heappush(heap, (-len(neighbor_colors[v]), -degree[v], v))
 
     def pick() -> int:
-        best = -1
-        best_key = (-1, -1, 0)
-        for v in range(m):
-            if colors[v] == 0:
-                key = (len(neighbor_colors[v]), degree[v], -v)
-                if key > best_key:
-                    best_key = key
-                    best = v
-        return best
+        # Every uncolored vertex has an entry with its current saturation;
+        # every vertex on the frame stack is colored when this runs.
+        if len(heap) > 4 * m:
+            heap[:] = [
+                (-len(neighbor_colors[v]), -degree[v], v) for v in range(m) if not colors[v]
+            ]
+            heapify(heap)
+        while True:
+            neg_saturation, _, v = heappop(heap)
+            if not colors[v] and -neg_saturation == len(neighbor_colors[v]):
+                return v
 
     # One frame per colored vertex: [vertex, colors used before it, its color,
     # the uncolored neighbors that color was added to]. Color 0 means none yet.
@@ -135,6 +151,7 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
         if c:
             for u in touched:
                 neighbor_colors[u].discard(c)
+                push(u)
             colors[v] = 0
         limit = min(used + 1, k)
         c += 1
@@ -142,11 +159,13 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
             c += 1
         if c > limit:
             stack.pop()
+            push(v)
             continue
         colors[v] = c
         touched = [u for u in adj[v] if colors[u] == 0 and c not in neighbor_colors[u]]
         for u in touched:
             neighbor_colors[u].add(c)
+            push(u)
         frame[2] = c
         frame[3] = touched
         if len(stack) == m:

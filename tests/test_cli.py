@@ -67,7 +67,33 @@ def test_check_malformed_inputs_exit_2(files, capsys):
     assert main(["check", inst, short]) == 2
     assert main(["check", inst, files("gap.txt", "1\n\n")]) == 2
     assert main(["check", str(files("inst.txt", BLOCKER)) + ".nope", part]) == 2
+    latin1 = files("latin1.txt", "")
+    with open(latin1, "wb") as fh:
+        fh.write("2 2\n1 2\n3 4 \xe9\n".encode("latin-1"))
+    assert main(["check", latin1, part]) == 2
     capsys.readouterr()
+
+
+def test_option_errors_exit_2(files, capsys):
+    inst = files("inst.txt", CLIQUE)
+    big = files("big.txt", "3 20\n" + "1 " * 20 + "\n" + ("2 " * 20 + "\n") * 2)
+    sim = ["simulate", "--n", "2", "--m", "3", "--max-value", "10", "--workers", "1"]
+    cases = [
+        ["color", inst, "--k=0"],
+        ["solve", inst, "--strategy=exact", "--node-budget=0"],
+        ["enumerate", inst, "--time-budget=-1"],
+        ["enumerate", big],
+        ["mnw", big],
+        sim + ["--reps", "0"],
+        sim + ["--max-value", "-1"],
+        sim + ["--n", "2..x"],
+        sim + ["--m", ","],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
 def test_solve_roundtrips_through_check(files, capsys, tmp_path):
@@ -82,13 +108,45 @@ def test_solve_roundtrips_through_check(files, capsys, tmp_path):
         capsys.readouterr()
 
 
+def _uniform_file(files, rng, n, m):
+    """A uniform n x m instance with values in 0..10^4, as (path, instance)."""
+    rows = [[rng.randint(0, 10**4) for _ in range(m)] for _ in range(n)]
+    text = f"{n} {m}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    return files(f"uniform-{n}x{m}.txt", text), sf.Instance.from_rows(rows)
+
+
 def test_solve_large_two_agent_instance(files, capsys):
-    rng = random.Random(38)
-    rows = [[rng.randint(0, 10**4) for _ in range(1500)] for _ in range(2)]
-    inst = files("big.txt", "2 1500\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
-    assert main(["solve", inst]) == 0
+    path, inst = _uniform_file(files, random.Random(38), 2, 1500)
+    assert main(["solve", path]) == 0
     out = capsys.readouterr().out
-    assert sf.is_symef1(sf.Instance.from_rows(rows), sf.parse_partition(out, 2, 1500))
+    assert sf.is_symef1(inst, sf.parse_partition(out, 2, 1500))
+
+
+@pytest.mark.parametrize("strategy", ["coloring", "heuristic"])
+def test_solve_two_agents_up_to_m_2000(files, capsys, strategy):
+    # Two-agent conflict graphs are always 2-colorable, and both stages must
+    # answer at this size in well under a second.
+    rng = random.Random(39)
+    for m in sorted(rng.sample(range(1, 2000), 4)) + [2000]:
+        path, inst = _uniform_file(files, rng, 2, m)
+        assert main(["solve", path, f"--strategy={strategy}"]) == 0
+        out = capsys.readouterr().out
+        assert sf.is_symef1(inst, sf.parse_partition(out, 2, m))
+
+
+def test_color_two_agents_m_2000(files, capsys):
+    path, inst = _uniform_file(files, random.Random(40), 2, 2000)
+    assert main(["color", path, "--k=2"]) == 0
+    out = capsys.readouterr().out
+    assert sf.is_symef1(inst, sf.parse_partition(out, 2, 2000))
+
+
+def test_solve_coloring_three_agents_m_300_not_applicable(files, capsys):
+    # A uniform 3x300 conflict graph is not 3-colorable; the search must
+    # exhaust it and report that the sufficient condition does not apply.
+    path, _ = _uniform_file(files, random.Random(41), 3, 300)
+    assert main(["solve", path, "--strategy=coloring"]) == 1
+    assert capsys.readouterr().out == "NOT_APPLICABLE\n"
 
 
 def test_solve_constructive(files, capsys):
@@ -282,3 +340,17 @@ def test_unexpected_exception_exits_4_with_one_line(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: bad state\n"
+
+
+def test_library_value_error_is_internal_not_input(files, capsys, monkeypatch):
+    # A ValueError raised inside the program is a bug, not a bad input file.
+    inst = files("inst.txt", CLIQUE)
+
+    def broken(graph, k):
+        raise ValueError("inconsistent frame stack")
+
+    monkeypatch.setattr("symfair.cli.k_color", broken)
+    assert main(["color", inst, "--k=3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: inconsistent frame stack\n"

@@ -275,13 +275,8 @@ def test_export_ip_zero_row_keeps_rows_parseable():
             assert ">= 0" in line and "x_" in line
 
 
-def _lp_feasible(text: str, n: int, m: int) -> bool:
-    """Decide feasibility of an exported file by reading it back literally.
-
-    Walks every item-to-bundle map against the parsed rows; the y variables
-    appear with nonnegative coefficients and are capped at one per (agent,
-    bundle) row, so picking the single best allowed y per row is optimal.
-    """
+def _lp_rows(text: str) -> list[tuple[str, list[tuple[int, str]], str, int]]:
+    """The constraint rows of an exported file as (name, terms, sense, rhs)."""
     parsed = []
     for line in text.splitlines():
         line = line.strip()
@@ -307,6 +302,17 @@ def _lp_feasible(text: str, n: int, m: int) -> bool:
                 sign = 1
                 pending = None
         parsed.append((name.strip(), terms, sense, int(rhs)))
+    return parsed
+
+
+def _lp_feasible(text: str, n: int, m: int) -> bool:
+    """Decide feasibility of an exported file by reading it back literally.
+
+    Walks every item-to-bundle map against the parsed rows; the y variables
+    appear with nonnegative coefficients and are capped at one per (agent,
+    bundle) row, so picking the single best allowed y per row is optimal.
+    """
+    parsed = _lp_rows(text)
 
     def satisfied(xvals) -> bool:
         for name, terms, sense, rhs in parsed:
@@ -350,6 +356,46 @@ def test_export_ip_feasibility_matches_search():
     for inst in cases:
         text = sf.export_ip(inst)
         assert _lp_feasible(text, inst.n, inst.m) == sf.exact_symef1(inst).found
+
+
+def _highs_feasible(text: str) -> bool:
+    """Solve an exported file with scipy's HiGHS MILP solver, all rows as written."""
+    import numpy as np
+    from scipy import optimize
+
+    names = text.split("Binary")[1].split("End")[0].split()
+    column = {name: c for c, name in enumerate(names)}
+    rows = _lp_rows(text)
+    matrix = np.zeros((len(rows), len(names)))
+    lower = np.full(len(rows), -np.inf)
+    upper = np.full(len(rows), np.inf)
+    for r, (_, terms, sense, rhs) in enumerate(rows):
+        for coef, var in terms:
+            matrix[r, column[var]] += coef
+        if sense in ("=", ">="):
+            lower[r] = rhs
+        if sense in ("=", "<="):
+            upper[r] = rhs
+    result = optimize.milp(
+        c=np.zeros(len(names)),
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(len(names)),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.status in (0, 2), result.message  # 0 optimal, 2 infeasible
+    return result.status == 0
+
+
+def test_export_ip_matches_highs_milp():
+    pytest.importorskip("scipy")
+    rng = random.Random(36)
+    cases = [three_agent_blocker()]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        cases.append(rand_instance(rng, n, rng.randint(1, 8), rng.choice((1, 2, 10))))
+    verdicts = [sf.exact_symef1(inst).found for inst in cases]
+    assert [_highs_feasible(sf.export_ip(inst)) for inst in cases] == verdicts
+    assert verdicts.count(False) >= 2
 
 
 # ---------------------------------------------------------------------------

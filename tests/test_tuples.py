@@ -1,3 +1,4 @@
+import heapq
 import random
 from itertools import combinations
 
@@ -106,6 +107,103 @@ def test_k_color_complete_graph():
     g = sf.ItemGraph(4, tuple(combinations(range(4), 2)))
     assert sf.k_color(g, 3) is None
     _assert_proper(g, sf.k_color(g, 4), 4)
+
+
+# ---------------------------------------------------------------------------
+# Reference for the equivalence test: the scan-based k_color, which finds each
+# vertex to color by scanning all m vertices for the largest
+# (saturation, degree, -index). The heap pick must choose the same vertex at
+# every step, so both return the same coloring or both return None.
+# ---------------------------------------------------------------------------
+
+
+def _reference_k_color(g: sf.ItemGraph, k: int) -> tuple[int, ...] | None:
+    m = g.num_vertices
+    if m == 0:
+        return ()
+    adj = g.adjacency()
+    degree = [len(a) for a in adj]
+    colors = [0] * m
+    neighbor_colors: list[set[int]] = [set() for _ in range(m)]
+
+    def pick() -> int:
+        best = -1
+        best_key = (-1, -1, 0)
+        for v in range(m):
+            if colors[v] == 0:
+                key = (len(neighbor_colors[v]), degree[v], -v)
+                if key > best_key:
+                    best_key = key
+                    best = v
+        return best
+
+    stack = [[pick(), 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        v, used, c, touched = frame
+        if c:
+            for u in touched:
+                neighbor_colors[u].discard(c)
+            colors[v] = 0
+        limit = min(used + 1, k)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c > limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        touched = [u for u in adj[v] if colors[u] == 0 and c not in neighbor_colors[u]]
+        for u in touched:
+            neighbor_colors[u].add(c)
+        frame[2] = c
+        frame[3] = touched
+        if len(stack) == m:
+            return tuple(colors)
+        stack.append([pick(), max(used, c), 0, []])
+    return None
+
+
+def test_k_color_matches_scan_reference(monkeypatch):
+    # Small value ranges make saturation and degree ties common, and k below
+    # the chromatic number makes the search backtrack.
+    rng = random.Random(25)
+    cases = []
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        inst = rand_instance(rng, n, rng.randint(0, 26), rng.choice((1, 3, 100)))
+        cases.append((sf.build_item_graph(inst), rng.randint(1, n + 1)))
+    # n + 1 colors on 3- and 4-agent graphs: mostly colorable, some only after
+    # backtracking, where the next pick depends on re-pushed vertices.
+    for _ in range(400):
+        n = rng.randint(3, 4)
+        inst = rand_instance(rng, n, rng.randint(12, 30), rng.choice((1, 3, 100)))
+        cases.append((sf.build_item_graph(inst), n + 1))
+    cases += [(sf.build_item_graph(clique_but_solvable()), k) for k in range(1, 7)]
+    cases += [(sf.ItemGraph(m, tuple(combinations(range(m), 2))), k)
+              for m in (1, 4, 6) for k in range(1, m + 2)]
+    outcomes = [sf.k_color(g, k) for g, k in cases]
+    assert outcomes == [_reference_k_color(g, k) for g, k in cases]
+    assert sum(c is None for c in outcomes) > 300
+
+    # Uniform 3x60 graphs are not 3-colorable: the search backtracks long
+    # enough for the heap to outgrow 4m entries and be rebuilt.
+    heapify_calls = 0
+
+    def counting_heapify(heap):
+        nonlocal heapify_calls
+        heapify_calls += 1
+        heapq.heapify(heap)
+
+    monkeypatch.setattr("symfair.tuples.heapify", counting_heapify)
+    rng = random.Random(60)
+    graphs = [sf.build_item_graph(rand_instance(rng, 3, 60, 10**4)) for _ in range(6)]
+    for g in graphs:
+        assert sf.k_color(g, 3) is None
+        assert _reference_k_color(g, 3) is None
+        assert sf.k_color(g, 4) == _reference_k_color(g, 4)
+    # One heapify per k_color call builds the heap; any beyond that is a rebuild.
+    assert heapify_calls > 2 * len(graphs)
 
 
 def test_k_color_rejects_bad_k():
