@@ -24,7 +24,6 @@ from .core import (
     is_symefx,
     items_distinct,
     max_item_value,
-    min_item_value,
     nash_welfare,
     parse_instance,
     parse_partition,
@@ -106,7 +105,6 @@ __all__ = [
     "k_color",
     "max_item_value",
     "max_nash_welfare",
-    "min_item_value",
     "naive_enumerate_symef1",
     "nash_welfare",
     "order_items",

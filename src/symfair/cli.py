@@ -6,10 +6,11 @@ exhausted, 4 internal error (a bug: an unexpected exception, or a constructed
 partition that fails its symEF1 check), reported as one line on stderr.
 Input errors reach ``main`` as :class:`ParseError` or :class:`OSError`; a bare
 ``ValueError`` from inside the library is a bug and exits 4.
-On success ``solve``, ``color``, and ``mnw`` write nothing to stdout except a
-partition in the n-line file format, so their output pipes straight back into
-``check``; diagnostics (provenance, heuristic stats, welfare, progress) go to
-stderr.
+On success ``solve`` and ``mnw`` write nothing to stdout except a partition in
+the n-line file format, so their output pipes straight back into ``check``;
+diagnostics (provenance, heuristic stats, welfare, progress) go to stderr.
+``color --k`` prints its k color classes, one per line, in the same 1-based
+format: a partition that ``check`` accepts only when k equals n.
 """
 
 from __future__ import annotations
@@ -339,6 +340,8 @@ def _cmd_export_ip(args) -> int:
 def _cmd_simulate(args) -> int:
     from .sim import SimConfig, emit_csv, run_simulation
 
+    if args.workers is not None and args.workers < 1:
+        raise ParseError("--workers must be at least 1")
     with _input_error():
         cfg = SimConfig(
             n_list=_parse_int_list(args.n),

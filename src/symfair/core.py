@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -116,12 +117,6 @@ def max_item_value(inst: Instance, i: int, items: Iterable[int]) -> int:
     return max((row[_check_item(inst, j)] for j in items), default=0)
 
 
-def min_item_value(inst: Instance, i: int, items: Iterable[int]) -> int:
-    """Smallest single-item value in the set for agent i; 0 for the empty set."""
-    row = inst.values[_check_agent(inst, i)]
-    return min((row[_check_item(inst, j)] for j in items), default=0)
-
-
 def is_ef1_satisfied(inst: Instance, i: int, k: int, partition: Partition) -> bool:
     """Would agent i accept bundle k? True iff for every other bundle, i's envy
     disappears after removing i's best item from that bundle."""
@@ -129,9 +124,7 @@ def is_ef1_satisfied(inst: Instance, i: int, k: int, partition: Partition) -> bo
     validate_partition(inst, partition)
     if not 0 <= k < len(partition.bundles):
         raise IndexError(f"bundle index {k} out of range")
-    vals = [bundle_value(inst, i, b) for b in partition.bundles]
-    maxes = [max_item_value(inst, i, b) for b in partition.bundles]
-    return all(vals[k] >= vals[l] - maxes[l] for l in range(len(vals)))
+    return _first_violation(inst.values, partition.bundles, max, [(i, k)]) is None
 
 
 def first_symef1_violation(
@@ -142,16 +135,8 @@ def first_symef1_violation(
     Scan order is ascending i, then k, then l, so the witness is deterministic.
     """
     validate_partition(inst, partition)
-    n = len(partition.bundles)
-    for i in range(inst.n):
-        vals = [bundle_value(inst, i, b) for b in partition.bundles]
-        maxes = [max_item_value(inst, i, b) for b in partition.bundles]
-        for k in range(n):
-            for l in range(n):
-                rhs = vals[l] - maxes[l]
-                if vals[k] < rhs:
-                    return (i, k, l, vals[k], rhs)
-    return None
+    pairs = product(range(inst.n), repeat=2)
+    return _first_violation(inst.values, partition.bundles, max, pairs)
 
 
 def first_symefx_violation(
@@ -159,16 +144,8 @@ def first_symefx_violation(
 ) -> tuple[int, int, int, int, int] | None:
     """Like :func:`first_symef1_violation` but removing the *worst* item instead."""
     validate_partition(inst, partition)
-    n = len(partition.bundles)
-    for i in range(inst.n):
-        vals = [bundle_value(inst, i, b) for b in partition.bundles]
-        mins = [min_item_value(inst, i, b) for b in partition.bundles]
-        for k in range(n):
-            for l in range(n):
-                rhs = vals[l] - mins[l]
-                if vals[k] < rhs:
-                    return (i, k, l, vals[k], rhs)
-    return None
+    pairs = product(range(inst.n), repeat=2)
+    return _first_violation(inst.values, partition.bundles, min, pairs)
 
 
 def first_ef1_violation(
@@ -176,13 +153,34 @@ def first_ef1_violation(
 ) -> tuple[int, int, int, int, int] | None:
     """EF1 check for the diagonal assignment (agent k receives bundle k)."""
     validate_partition(inst, partition)
-    for i in range(inst.n):
-        vals = [bundle_value(inst, i, b) for b in partition.bundles]
-        maxes = [max_item_value(inst, i, b) for b in partition.bundles]
-        for l in range(len(vals)):
-            rhs = vals[l] - maxes[l]
-            if vals[i] < rhs:
-                return (i, i, l, vals[i], rhs)
+    pairs = [(i, i) for i in range(inst.n)]
+    return _first_violation(inst.values, partition.bundles, max, pairs)
+
+
+def _first_violation(
+    rows: Sequence[Sequence[int]],
+    bundles: Sequence[Iterable[int]],
+    discount: Callable[..., int],
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[int, int, int, int, int] | None:
+    """First (i, k, l, lhs, rhs) with v_i(A_k) < v_i(A_l) - discount of A_l, or None.
+
+    Scans the (agent i, bundle k) ``pairs`` in order, then l ascending. The
+    discount is the item of A_l that ``discount`` (``max`` for EF1, ``min`` for
+    EFX) picks from i's values, 0 for an empty bundle. The bundles need not
+    cover every item.
+    """
+    agent = None
+    for i, k in pairs:
+        if i != agent:  # one pass over the bundles per run of equal i
+            agent, row = i, rows[i]
+            vals = [[row[j] for j in b] for b in bundles]
+            sums = [sum(v) for v in vals]
+            cuts = [s - discount(v, default=0) for s, v in zip(sums, vals)]
+        lhs = sums[k]
+        for l, rhs in enumerate(cuts):
+            if lhs < rhs:
+                return (i, k, l, lhs, rhs)
     return None
 
 

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
-from .core import Instance, Partition
+from .core import Instance, Partition, _first_violation
 
 _INF = float("inf")
 
@@ -116,12 +117,6 @@ class _Table:
         self.sums[i][k] = total
         self.best[i][k] = b1
         self.second[i][k] = b2
-
-    def is_symef1(self) -> bool:
-        for s, b in zip(self.sums, self.best):
-            if min(s) < max(x - y for x, y in zip(s, b)):
-                return False
-        return True
 
     def to_partition(self) -> Partition:
         return Partition(tuple(frozenset(b) for b in self.bundles))
@@ -303,7 +298,8 @@ def extend_allocation(
     pending = list(pending)
     if allocated | set(pending) != set(range(inst.m)) or allocated & set(pending):
         raise ValueError("bundles plus pending must partition the item set")
-    if not table.is_symef1():
+    pairs = product(range(inst.n), repeat=2)
+    if _first_violation(inst.values, table.bundles, max, pairs) is not None:
         raise ValueError("starting bundles are not symEF1 over their items")
 
     stats = HeuristicStats()

@@ -106,12 +106,15 @@ def run_simulation(
     """One report per (n, m, M) cell, in cross-product order.
 
     Replications run in parallel blocks; the counters are integer sums, so the
-    aggregate is identical for any worker count or block split.
+    aggregate is identical for any worker count or block split. ``workers``
+    defaults to the CPU count; a value below 1 raises ValueError.
     """
     if workers is None:
         import os
 
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     reports = []
     for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):
         t0 = time.perf_counter()

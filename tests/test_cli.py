@@ -88,6 +88,7 @@ def test_option_errors_exit_2(files, capsys):
         sim + ["--max-value", "-1"],
         sim + ["--n", "2..x"],
         sim + ["--m", ","],
+        sim + ["--workers", "0"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +209,119 @@ def test_symef1_without_symefx():
     p = sf.Partition.of({1}, {0, 2})
     assert sf.is_symef1(inst, p)
     assert not sf.is_symefx(inst, p)
+
+
+# The four scans core had before they became one; the reference for the test
+# below. They rebuild every value and discount list per agent.
+
+
+def _reference_min_item_value(inst, i, items):
+    row = inst.values[i]
+    return min((row[j] for j in items), default=0)
+
+
+def _reference_is_ef1_satisfied(inst, i, k, partition):
+    sf.core._check_agent(inst, i)
+    sf.validate_partition(inst, partition)
+    if not 0 <= k < len(partition.bundles):
+        raise IndexError(f"bundle index {k} out of range")
+    vals = [sf.bundle_value(inst, i, b) for b in partition.bundles]
+    maxes = [sf.max_item_value(inst, i, b) for b in partition.bundles]
+    return all(vals[k] >= vals[l] - maxes[l] for l in range(len(vals)))
+
+
+def _reference_first_symef1_violation(inst, partition):
+    sf.validate_partition(inst, partition)
+    n = len(partition.bundles)
+    for i in range(inst.n):
+        vals = [sf.bundle_value(inst, i, b) for b in partition.bundles]
+        maxes = [sf.max_item_value(inst, i, b) for b in partition.bundles]
+        for k in range(n):
+            for l in range(n):
+                rhs = vals[l] - maxes[l]
+                if vals[k] < rhs:
+                    return (i, k, l, vals[k], rhs)
+    return None
+
+
+def _reference_first_symefx_violation(inst, partition):
+    sf.validate_partition(inst, partition)
+    n = len(partition.bundles)
+    for i in range(inst.n):
+        vals = [sf.bundle_value(inst, i, b) for b in partition.bundles]
+        mins = [_reference_min_item_value(inst, i, b) for b in partition.bundles]
+        for k in range(n):
+            for l in range(n):
+                rhs = vals[l] - mins[l]
+                if vals[k] < rhs:
+                    return (i, k, l, vals[k], rhs)
+    return None
+
+
+def _reference_first_ef1_violation(inst, partition):
+    sf.validate_partition(inst, partition)
+    for i in range(inst.n):
+        vals = [sf.bundle_value(inst, i, b) for b in partition.bundles]
+        maxes = [sf.max_item_value(inst, i, b) for b in partition.bundles]
+        for l in range(len(vals)):
+            rhs = vals[l] - maxes[l]
+            if vals[i] < rhs:
+                return (i, i, l, vals[i], rhs)
+    return None
+
+
+def _raised(fn, *args):
+    """The call's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_checks_match_reference_scans():
+    # Witness tuples, verdicts and exception types equal the old per-check
+    # scans. Value ranges from 0..1 up make zero values and ties between items
+    # and between bundles common; some bundles are forced empty.
+    pairs = (
+        (sf.first_symef1_violation, _reference_first_symef1_violation),
+        (sf.first_symefx_violation, _reference_first_symefx_violation),
+        (sf.first_ef1_violation, _reference_first_ef1_violation),
+    )
+    rng = random.Random(25)
+    seen = {fn: 0 for fn, _ in pairs}
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 12)
+        M = rng.choice((1, 2, 3, 10, 1000))
+        inst = sf.Instance.from_rows([[rng.randint(0, M) for _ in range(m)] for _ in range(n)])
+        used = rng.randint(1, n)
+        bundles = [set() for _ in range(n)]
+        for j in range(m):
+            bundles[rng.randrange(used)].add(j)
+        rng.shuffle(bundles)
+        p = sf.Partition(tuple(frozenset(b) for b in bundles))
+        for fn, ref in pairs:
+            witness = fn(inst, p)
+            assert witness == ref(inst, p), (fn.__name__, inst, p)
+            seen[fn] += witness is not None
+        for i in range(n):
+            for k in range(n):
+                assert sf.is_ef1_satisfied(inst, i, k, p) == _reference_is_ef1_satisfied(
+                    inst, i, k, p
+                )
+        # Malformed calls: a bundle too many or too few, an agent or bundle
+        # index out of range, and combinations where the check order decides.
+        wrong = sf.Partition(p.bundles + (frozenset(),))
+        short = sf.Partition(p.bundles[1:])
+        for part in (wrong, short):
+            for fn, ref in pairs:
+                assert _raised(fn, inst, part) is _raised(ref, inst, part) is ValueError
+        for i, k, part in ((n, 0, p), (-1, 0, p), (0, n, p), (0, -1, p), (n, n, wrong),
+                           (0, n + 1, wrong), (n, 0, short)):
+            got = _raised(sf.is_ef1_satisfied, inst, i, k, part)
+            assert got is _raised(_reference_is_ef1_satisfied, inst, i, k, part), (i, k)
+            assert got in (IndexError, ValueError)
+    assert all(count > 500 for count in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

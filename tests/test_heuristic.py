@@ -319,11 +319,12 @@ def test_rescan_picks_up_previously_rejected_items():
 
 def test_kernel_matches_reference_builder():
     # Same partition and the same per-case counts as the mutate/check/undo
-    # reference, from scratch and from random symEF1 partial states. Small
+    # reference, from scratch and from random symEF1 partial states; a partial
+    # state the reference finds not symEF1 must be refused at the start. Small
     # value ranges make ties between items and between bundles common. m stops
     # at 12 for n >= 5, where the reference's failed runs cost the most.
     rng = random.Random(24)
-    partial_starts = failures = 0
+    partial_starts = refused = failures = 0
     for _ in range(2000):
         n = rng.randint(1, 6)
         m = rng.randint(0, 16 if n <= 4 else 12)
@@ -340,6 +341,10 @@ def test_kernel_matches_reference_builder():
             pending = order[len(keep):]
             result = sf.extend_allocation(inst, bundles, pending)
         else:
+            if keep:
+                refused += 1
+                with pytest.raises(ValueError, match="not symEF1"):
+                    sf.extend_allocation(inst, bundles, order[len(keep):])
             bundles = [set() for _ in range(n)]
             pending = order
             result = sf.greedy_symef1(inst, order)
@@ -347,4 +352,5 @@ def test_kernel_matches_reference_builder():
         assert (result.partition, result.stats) == expected
         failures += result.stats.failed
     assert partial_starts > 500
+    assert refused > 200, refused
     assert failures > 200

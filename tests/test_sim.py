@@ -142,6 +142,15 @@ def test_config_validation():
         SimConfig(n_list=(2,), m_list=(0,), M_list=(10,), replications=1, master_seed=0)
 
 
+def test_run_simulation_rejects_workers_below_one():
+    cfg = SimConfig(n_list=(2,), m_list=(3,), M_list=(10,), replications=1, master_seed=0)
+    progress = []
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            run_simulation(cfg, workers=workers, progress=progress.append)
+    assert progress == []
+
+
 def test_split_blocks_cover_range():
     for total in (1, 7, 80):
         for workers in (1, 2, 5):
