@@ -232,7 +232,12 @@ def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None,
             return None, "NOT_APPLICABLE", EXIT_UNSAT
         return grouped_allocation(inst, structure), "constructive (closed form)", EXIT_OK
     if strategy == "coloring":
-        coloring = k_color(build_item_graph(inst), inst.n)
+        try:
+            coloring = k_color(build_item_graph(inst), inst.n, _limits(args))
+        except BudgetExceededError:
+            if args.strategy != "auto":
+                raise
+            return None, "NOT_APPLICABLE", EXIT_UNSAT
         if coloring is None:
             return None, "NOT_APPLICABLE", EXIT_UNSAT
         partition = coloring_to_partition(coloring, inst.n)

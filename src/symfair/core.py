@@ -21,6 +21,26 @@ class ParseError(ValueError):
     """Malformed input: instance or partition text, or a command-line value."""
 
 
+class BudgetExceededError(RuntimeError):
+    """Search stopped by the node or time budget before finishing."""
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    """Node and time budget of one call to a backtracking search.
+
+    The exact search, enumeration, the MNW oracle and ``k_color`` each count
+    their own nodes and raise :class:`BudgetExceededError` when either runs out.
+    """
+
+    node_budget: int = 10_000_000
+    time_budget: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.node_budget < 1 or self.time_budget <= 0:
+            raise ValueError("budgets must be positive")
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents, m items, and an n x m matrix of nonnegative integer values."""

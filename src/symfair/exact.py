@@ -21,6 +21,19 @@ Placing an item changes only its bundle's term, which never decreases, so
 worst_i updates in O(1). With no items left the second test is exactly the
 symEF1 check. Disabling the prune never changes a verdict or the first
 witness, only node counts.
+
+Cost model. A node scores all its children when it is expanded, from its own
+bundle sums and maxima, before any of them is placed. It holds, per agent, the
+deficit D_i = sum_k max(0, worst_i - v_i(A_k)) that its parent computed. A
+child that puts the item in bundle k and leaves worst_i where it is changes
+only bundle k's term, in O(1); one that raises worst_i to W rescans the n
+bundle values once (bundle k's own term is 0 before and after, as W is at most
+its old value). Agents are tested in order and a child is cut at the first one
+that fails. Only the surviving children are placed and later undone, and each
+passes its deficits down as its own D_i, so no node recomputes them. Nodes
+are counted as the walk reaches each child, a run of cut children in one
+step, so node counts and budget stops are those of a walk that places and
+tests every child in turn.
 """
 
 from __future__ import annotations
@@ -31,21 +44,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .core import Assignment, Instance, Partition, is_symef1
-
-
-class BudgetExceededError(RuntimeError):
-    """Search stopped by the node or time budget before finishing."""
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    node_budget: int = 10_000_000
-    time_budget: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.node_budget < 1 or self.time_budget <= 0:
-            raise ValueError("budgets must be positive")
+from .core import (
+    Assignment,
+    BudgetExceededError,
+    Instance,
+    Partition,
+    SearchLimits,
+    is_symef1,
+)
+from .tuples import build_item_graph, coloring_to_partition, k_color
 
 
 class ExactStatus(Enum):
@@ -122,8 +129,10 @@ class _Searcher:
             return
         cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
         agents = range(n)
+        prune = self.prune
         node_budget = self.limits.node_budget
-        deadline = time.monotonic() + self.limits.time_budget
+        time_budget = self.limits.time_budget
+        deadline = time.monotonic() + time_budget
         # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
         sums = [[0] * n for _ in agents]
         maxes = [[0] * n for _ in agents]
@@ -132,102 +141,160 @@ class _Searcher:
         sizes = [0] * n
         saved_max = [[0] * n for _ in range(m)]
         saved_worst = [[0] * n for _ in range(m)]
-        children: list[list[int]] = [[] for _ in range(m)]
-        pos = [0] * m
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
-        children[0] = [0]
+        # plans[d]: the surviving children of the node at depth d, in order, as
+        # (how many of its children the walk has reached at this one, bundle,
+        # the child's per-agent deficits), closed by (child count, -1, None).
+        # reached[d] is how many of those children are counted in nodes.
+        plans: list[list] = [[] for _ in range(m)]
+        at = [0] * m
+        reached = [0] * m
+
+        def score(d: int, kids: list[int], base: list[int] | None) -> list:
+            """Cut the node's children that fail a test; keep the rest in order.
+
+            ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)).
+            Unpruned, only the last item's children are tested.
+            """
+            plan: list = []
+            if not prune:
+                if d + 1 < m:
+                    plan = [(c, k, None) for c, k in enumerate(kids, 1)]
+                    plan.append((len(kids), -1, None))
+                    return plan
+                base = [sum(worst[i] - x for x in sums[i] if x < worst[i]) for i in agents]
+            col = cols[d]
+            rem = remaining[d + 1]
+            for c, k in enumerate(kids, 1):
+                deficits = []
+                for i in agents:
+                    srow = sums[i]
+                    x = srow[k]
+                    v = col[i]
+                    s = x + v
+                    mx = maxes[i][k]
+                    t = s - (v if v > mx else mx)
+                    w = worst[i]
+                    if t > w:
+                        # worst_i rises to t, so every term changes: rescan.
+                        # Bundle k adds nothing, before or after: t <= x <= s.
+                        if t > cap[i]:
+                            break
+                        r = rem[i]
+                        deficit = 0
+                        for y in srow:
+                            if y < t:
+                                deficit += t - y
+                                if deficit > r:
+                                    break
+                        if deficit > r:
+                            break
+                    else:
+                        if w > cap[i]:
+                            break
+                        # Only bundle k's term changes: max(0, w - x) becomes
+                        # max(0, w - s).
+                        deficit = base[i]
+                        if s < w:
+                            deficit -= v
+                        elif x < w:
+                            deficit -= w - x
+                        if deficit > rem[i]:
+                            break
+                    deficits.append(deficit)
+                else:
+                    plan.append((c, k, deficits))
+            plan.append((len(kids), -1, None))
+            return plan
+
+        def stop(before: int, after: int) -> None:
+            # Children before+1..after were counted in one step. Stop where a
+            # count of one at a time would have: at the first multiple of 4096
+            # past the deadline, or at the first child past the node budget.
+            tick = (before // 4096 + 1) * 4096
+            if tick <= min(after, node_budget) and time.monotonic() > deadline:
+                self.nodes = tick
+                raise BudgetExceededError(f"time budget {time_budget}s exhausted")
+            if after > node_budget:
+                self.nodes = node_budget + 1
+                raise BudgetExceededError(f"node budget {node_budget} exhausted")
+
+        plans[0] = score(0, [0], [0] * n)
         nodes = 0
         d = 0
-        undo = 0  # agents whose state the placement at depth d changed
         while True:
-            if undo:
-                k = assign[d]
-                col = cols[d]
-                sm = saved_max[d]
-                sw = saved_worst[d]
-                for i in range(undo):
-                    sums[i][k] -= col[i]
-                    maxes[i][k] = sm[i]
-                    worst[i] = sw[i]
-                sizes[k] -= 1
-                undo = 0
-            kids = children[d]
-            p = pos[d]
-            if p == len(kids):
+            p = at[d]
+            at[d] = p + 1
+            count, k, deficits = plans[d][p]
+            step = count - reached[d]
+            if step:
+                reached[d] = count
+                nodes += step
+                if nodes > node_budget or (nodes & 4095) < step:
+                    stop(nodes - step, nodes)
+            if k < 0:
                 if d == 0:
                     self.nodes = nodes
                     return
                 d -= 1
-                undo = n
+                k = assign[d]
+                col = cols[d]
+                sm = saved_max[d]
+                sw = saved_worst[d]
+                for i in agents:
+                    sums[i][k] -= col[i]
+                    maxes[i][k] = sm[i]
+                    worst[i] = sw[i]
+                sizes[k] -= 1
                 continue
-            pos[d] = p + 1
-            k = kids[p]
-            nodes += 1
-            if nodes > node_budget:
-                self.nodes = nodes
-                raise BudgetExceededError(f"node budget {node_budget} exhausted")
-            if nodes % 4096 == 0 and time.monotonic() > deadline:
-                self.nodes = nodes
-                raise BudgetExceededError(f"time budget {self.limits.time_budget}s exhausted")
             assign[d] = k
-            sizes[k] += 1
-            col = cols[d]
-            sm = saved_max[d]
-            sw = saved_worst[d]
-            test = self.prune or d + 1 == m
-            rem = remaining[d + 1]
-            for i in agents:
-                srow = sums[i]
-                v = col[i]
-                s = srow[k] + v
-                srow[k] = s
-                mrow = maxes[i]
-                mx = mrow[k]
-                sm[i] = mx
-                if v > mx:
-                    mrow[k] = mx = v
-                w = worst[i]
-                sw[i] = w
-                if s - mx > w:
-                    worst[i] = w = s - mx
-                if test:
-                    if w > cap[i]:
-                        undo = i + 1
-                        break
-                    slack = rem[i]
-                    for x in srow:
-                        if x < w:
-                            slack -= w - x
-                            if slack < 0:
-                                break
-                    if slack < 0:
-                        undo = i + 1
-                        break
-            if undo:
-                continue
             if d + 1 == m:
                 self.nodes = nodes
                 yield self.current_partition()
-                undo = n
                 continue
+            col = cols[d]
+            sm = saved_max[d]
+            sw = saved_worst[d]
+            for i in agents:
+                v = col[i]
+                srow = sums[i]
+                s = srow[k] + v
+                srow[k] = s
+                mrow = maxes[i]
+                mx = sm[i] = mrow[k]
+                if v > mx:
+                    mrow[k] = mx = v
+                w = sw[i] = worst[i]
+                if s - mx > w:
+                    worst[i] = s - mx
+            sizes[k] += 1
             u = used[d]
             d += 1
             u = used[d] = u + 1 if k == u else u
             # Emptiest bundle first, ties by index (sorted is stable); only the
             # first empty bundle may open, so each unordered partition shows once.
-            children[d] = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
-            pos[d] = 0
+            kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
+            plans[d] = score(d, kids, deficits)
+            at[d] = 0
+            reached[d] = 0
 
 
 def exact_symef1(
     inst: Instance, limits: SearchLimits | None = None, prune: bool = True
 ) -> ExactOutcome:
-    """Decide symEF1 existence; complete within the given budgets."""
+    """Decide symEF1 existence; complete within the given budgets.
+
+    Two agents always have a symEF1 partition: when the search runs out of
+    budget for n = 2, the answer is the 2-coloring of the conflict graph (a
+    union of two matchings, so bipartite), and ``nodes`` is the search's count.
+    """
     searcher = _Searcher(inst, limits or SearchLimits(), prune)
     try:
         partition = next(searcher.leaves(), None)
     except BudgetExceededError:
-        return ExactOutcome(ExactStatus.BUDGET_EXCEEDED, None, searcher.nodes)
+        if inst.n != 2:
+            return ExactOutcome(ExactStatus.BUDGET_EXCEEDED, None, searcher.nodes)
+        partition = coloring_to_partition(k_color(build_item_graph(inst), 2), 2)
     if partition is None:
         return ExactOutcome(ExactStatus.PROVED_INFEASIBLE, None, searcher.nodes)
     if not is_symef1(inst, partition):

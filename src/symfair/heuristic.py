@@ -298,8 +298,9 @@ def extend_allocation(
     pending = list(pending)
     if allocated | set(pending) != set(range(inst.m)) or allocated & set(pending):
         raise ValueError("bundles plus pending must partition the item set")
+    # Empty bundles are trivially symEF1, so a start from scratch skips the scan.
     pairs = product(range(inst.n), repeat=2)
-    if _first_violation(inst.values, table.bundles, max, pairs) is not None:
+    if allocated and _first_violation(inst.values, table.bundles, max, pairs) is not None:
         raise ValueError("starting bundles are not symEF1 over their items")
 
     stats = HeuristicStats()

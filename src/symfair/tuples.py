@@ -12,10 +12,11 @@ instances are symEF1-solvable with a graph that is not n-colorable.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .core import Instance, Partition
+from .core import BudgetExceededError, Instance, Partition, SearchLimits
 
 Ranking = tuple[int, ...]
 IndexedTuples = tuple[tuple[frozenset[int], ...], ...]
@@ -98,7 +99,9 @@ def components(g: ItemGraph) -> tuple[int, tuple[int, ...]]:
     return count, tuple(labels)
 
 
-def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
+def k_color(
+    g: ItemGraph, k: int, limits: SearchLimits | None = None
+) -> tuple[int, ...] | None:
     """Exact k-coloring via backtracking, or None once the search space is exhausted.
 
     Vertices are picked by maximum saturation (distinct neighbor colors), ties
@@ -113,12 +116,20 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
     once it holds more than 4m entries, so a pick costs amortised O(log m) per
     entry pushed (a coloring step pushes at most one per neighbor) rather than
     a scan of all m vertices.
+
+    Every color assignment counts as one node against ``limits`` (default
+    :class:`SearchLimits`); :class:`BudgetExceededError` is raised when the
+    node or time budget runs out.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     m = g.num_vertices
     if m == 0:
         return ()
+    limits = limits or SearchLimits()
+    node_budget = limits.node_budget
+    deadline = time.monotonic() + limits.time_budget
+    nodes = 0
     adj = g.adjacency()
     degree = [len(a) for a in adj]
     colors = [0] * m
@@ -161,6 +172,11 @@ def k_color(g: ItemGraph, k: int) -> tuple[int, ...] | None:
             stack.pop()
             push(v)
             continue
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"node budget {node_budget} exhausted")
+        if nodes % 4096 == 0 and time.monotonic() > deadline:
+            raise BudgetExceededError(f"time budget {limits.time_budget}s exhausted")
         colors[v] = c
         touched = [u for u in adj[v] if colors[u] == 0 and c not in neighbor_colors[u]]
         for u in touched:
@@ -205,7 +221,9 @@ def count_lower_bound(g: ItemGraph, n: int) -> int | None:
     """(n!)^(C-1) distinct symEF1 partitions once the graph is n-colorable.
 
     C is the component count. Returns None when no n-coloring exists (the
-    bound then says nothing). Exact integer arithmetic throughout.
+    bound then says nothing), and raises :class:`BudgetExceededError` when
+    ``k_color`` runs out of its default budget first. Exact integer
+    arithmetic throughout.
     """
     if k_color(g, n) is None:
         return None

@@ -150,6 +150,26 @@ def test_solve_coloring_three_agents_m_300_not_applicable(files, capsys):
     assert capsys.readouterr().out == "NOT_APPLICABLE\n"
 
 
+def test_coloring_out_of_budget(files, capsys, monkeypatch):
+    # A uniform 3x60 conflict graph is not 3-colorable. When k_color runs out
+    # of budget, auto treats the coloring stage as not applicable and goes on;
+    # the coloring stage alone and `color` exit 3.
+    path, inst = _uniform_file(files, random.Random(60), 3, 60)
+    assert main(["solve", path, "--strategy=coloring"]) == 1
+    assert capsys.readouterr().out == "NOT_APPLICABLE\n"
+    assert main(["solve", path, "--strategy=coloring", "--node-budget=5"]) == 3
+    assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
+    assert main(["solve", path, "--node-budget=5"]) == 0
+    captured = capsys.readouterr()
+    assert "solved by: heuristic" in captured.err
+    assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 60))
+    k_color = sf.k_color
+    limits = sf.SearchLimits(node_budget=5)
+    monkeypatch.setattr("symfair.cli.k_color", lambda graph, k: k_color(graph, k, limits))
+    assert main(["color", path, "--k=3"]) == 3
+    assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
+
+
 def test_solve_constructive(files, capsys):
     inst = files("inst.txt", IDENTICAL)
     assert main(["solve", inst, "--strategy=constructive"]) == 0

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from collections import Counter
 
 import pytest
 
@@ -60,6 +62,26 @@ def test_node_budget_reports_exhaustion():
     assert outcome.nodes > 3
 
 
+def test_two_agents_out_of_budget_fall_back_to_coloring():
+    # The search runs out on this instance even at the default budget; two-agent
+    # conflict graphs are bipartite, so the 2-coloring answers instead.
+    inst = rand_instance(random.Random(6), 2, 600, 10**4)
+    limits = sf.SearchLimits(node_budget=20_000, time_budget=60.0)
+    with pytest.raises(sf.BudgetExceededError):
+        next(sf.exact._Searcher(inst, limits, True).leaves())
+    outcome = sf.exact_symef1(inst, limits)
+    assert outcome.status is sf.ExactStatus.FOUND
+    assert outcome.nodes == 20_001
+    assert outcome.partition == sf.coloring_to_partition(
+        sf.k_color(sf.build_item_graph(inst), 2), 2
+    )
+    assert sf.is_symef1(inst, outcome.partition)
+    # Three agents still report the budget (this one needs 33 nodes).
+    three = rand_instance(random.Random(6), 3, 30, 10**4)
+    outcome = sf.exact_symef1(three, sf.SearchLimits(node_budget=20))
+    assert outcome.status is sf.ExactStatus.BUDGET_EXCEEDED
+
+
 def test_large_m_ends_in_budget_not_recursion_error():
     rng = random.Random(36)
     limits = sf.SearchLimits(node_budget=20_000, time_budget=60.0)
@@ -99,6 +121,185 @@ def test_search_limits_validation():
         sf.SearchLimits(node_budget=0)
     with pytest.raises(ValueError):
         sf.SearchLimits(time_budget=0.0)
+
+
+# ---------------------------------------------------------------------------
+# search engine against its reference
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceSearcher(sf.exact._Searcher):
+    """The loop that places every child, tests it, and undoes it if it fails.
+
+    The engine scores children at their parent and places only the ones that
+    survive; it must count the same nodes, cut the same children, stop at the
+    same child and yield the same leaves in the same order as this loop.
+    """
+
+    def leaves(self):
+        n, m = self.n, self.m
+        if m == 0:
+            yield self.current_partition()
+            return
+        cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
+        agents = range(n)
+        node_budget = self.limits.node_budget
+        deadline = time.monotonic() + self.limits.time_budget
+        # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
+        sums = [[0] * n for _ in agents]
+        maxes = [[0] * n for _ in agents]
+        # worst[i] = max_k (sums[i][k] - maxes[i][k]), a lower bound on its final value.
+        worst = [0] * n
+        sizes = [0] * n
+        saved_max = [[0] * n for _ in range(m)]
+        saved_worst = [[0] * n for _ in range(m)]
+        children: list[list[int]] = [[] for _ in range(m)]
+        pos = [0] * m
+        used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
+        children[0] = [0]
+        nodes = 0
+        d = 0
+        undo = 0  # agents whose state the placement at depth d changed
+        while True:
+            if undo:
+                k = assign[d]
+                col = cols[d]
+                sm = saved_max[d]
+                sw = saved_worst[d]
+                for i in range(undo):
+                    sums[i][k] -= col[i]
+                    maxes[i][k] = sm[i]
+                    worst[i] = sw[i]
+                sizes[k] -= 1
+                undo = 0
+            kids = children[d]
+            p = pos[d]
+            if p == len(kids):
+                if d == 0:
+                    self.nodes = nodes
+                    return
+                d -= 1
+                undo = n
+                continue
+            pos[d] = p + 1
+            k = kids[p]
+            nodes += 1
+            if nodes > node_budget:
+                self.nodes = nodes
+                raise sf.BudgetExceededError(f"node budget {node_budget} exhausted")
+            if nodes % 4096 == 0 and time.monotonic() > deadline:
+                self.nodes = nodes
+                raise sf.BudgetExceededError(f"time budget {self.limits.time_budget}s exhausted")
+            assign[d] = k
+            sizes[k] += 1
+            col = cols[d]
+            sm = saved_max[d]
+            sw = saved_worst[d]
+            test = self.prune or d + 1 == m
+            rem = remaining[d + 1]
+            for i in agents:
+                srow = sums[i]
+                v = col[i]
+                s = srow[k] + v
+                srow[k] = s
+                mrow = maxes[i]
+                mx = mrow[k]
+                sm[i] = mx
+                if v > mx:
+                    mrow[k] = mx = v
+                w = worst[i]
+                sw[i] = w
+                if s - mx > w:
+                    worst[i] = w = s - mx
+                if test:
+                    if w > cap[i]:
+                        undo = i + 1
+                        break
+                    slack = rem[i]
+                    for x in srow:
+                        if x < w:
+                            slack -= w - x
+                            if slack < 0:
+                                break
+                    if slack < 0:
+                        undo = i + 1
+                        break
+            if undo:
+                continue
+            if d + 1 == m:
+                self.nodes = nodes
+                yield self.current_partition()
+                undo = n
+                continue
+            u = used[d]
+            d += 1
+            u = used[d] = u + 1 if k == u else u
+            # Emptiest bundle first, ties by index (sorted is stable); only the
+            # first empty bundle may open, so each unordered partition shows once.
+            children[d] = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
+            pos[d] = 0
+
+
+def _walk(searcher_cls, inst, limits, prune, first_only):
+    """(how the walk ended, [(leaf, nodes when it was yielded)], final nodes)."""
+    searcher = searcher_cls(inst, limits, prune)
+    found = []
+    end = "exhausted"
+    try:
+        for leaf in searcher.leaves():
+            found.append((leaf, searcher.nodes))
+            if first_only:
+                end = "found"
+                break
+    except sf.BudgetExceededError:
+        end = "budget"
+    return end, found, searcher.nodes
+
+
+def _same_walks(inst, limits, prune, first_only):
+    new = _walk(sf.exact._Searcher, inst, limits, prune, first_only)
+    assert new == _walk(_ReferenceSearcher, inst, limits, prune, first_only)
+    return new
+
+
+def test_search_matches_reference_engine():
+    rng = random.Random(62)
+    ends = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 12)
+        inst = rand_instance(rng, n, m, rng.choice((1, 3, 100, 10**4)))
+        prune = rng.random() < 0.7
+        budget = rng.choice((1, 2, 5, 17, 100, 1000, None))
+        if budget is None and not prune and m > 8:
+            budget = 10**4  # an unpruned tree over 9+ items is too big to walk out
+        limits = sf.SearchLimits(
+            node_budget=budget or sf.SearchLimits().node_budget, time_budget=3600.0
+        )
+        first_only = n**m > 10**5 or rng.random() < 0.5
+        end, found, nodes = _same_walks(inst, limits, prune, first_only)
+        ends[end, first_only] += 1
+        if end == "exhausted":
+            assert sf.enumerate_symef1(inst, limits, prune, force=True) == {
+                sf.canonical_partition(leaf) for leaf, _ in found
+            }
+    assert len(ends) == 5 and min(ends.values()) >= 50, ends
+
+    # The perfbench frontier pool at its node budget: the instances where most
+    # children are cut.
+    limits = sf.SearchLimits(node_budget=40_000, time_budget=3600.0)
+    timed_out = 0
+    for n, m in ((5, 10), (5, 15), (6, 12), (6, 15), (6, 18), (7, 14), (7, 21)):
+        for r in range(3):
+            pool_rng = random.Random(f"frontier:{n}:{m}:{r}")
+            rows = [[pool_rng.randint(0, 10**4) for _ in range(m)] for _ in range(n)]
+            inst = sf.Instance.from_rows(rows)
+            _same_walks(inst, limits, True, True)
+            # A deadline already past stops the walk at node 4096.
+            end, _, nodes = _same_walks(inst, sf.SearchLimits(time_budget=1e-9), True, True)
+            assert (end, nodes) == ("budget", 4096) or nodes < 4096
+            timed_out += end == "budget"
+    assert timed_out >= 10
 
 
 # ---------------------------------------------------------------------------

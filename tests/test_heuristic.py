@@ -284,6 +284,17 @@ def test_extend_allocation_validates_inputs():
         sf.greedy_symef1(inst, [0, 0])
 
 
+def test_empty_start_skips_the_start_scan(monkeypatch):
+    # Empty bundles are trivially symEF1: a build from scratch runs no scan.
+    def scan(*args):
+        raise AssertionError("the empty start was scanned")
+
+    monkeypatch.setattr("symfair.heuristic._first_violation", scan)
+    inst = sf.Instance.from_rows([[5, 1, 3], [1, 5, 3]])
+    assert sf.greedy_symef1(inst).found
+    assert sf.extend_allocation(inst, [set(), set()], [2, 1, 0]).found
+
+
 def test_item_orders():
     inst = sf.Instance.from_rows([[1, 5, 3], [2, 5, 1]])
     assert sf.order_items(inst, "index") == (0, 1, 2)

@@ -206,6 +206,19 @@ def test_k_color_matches_scan_reference(monkeypatch):
     assert heapify_calls > 2 * len(graphs)
 
 
+def test_k_color_budget():
+    # One node per color assignment: a path takes exactly m of them at k = 2.
+    path = sf.ItemGraph(40, tuple((v, v + 1) for v in range(39)))
+    _assert_proper(path, sf.k_color(path, 2, sf.SearchLimits(node_budget=40)), 2)
+    with pytest.raises(sf.BudgetExceededError, match="node budget 39"):
+        sf.k_color(path, 2, sf.SearchLimits(node_budget=39))
+    # A uniform 3x60 graph is not 3-colorable; proving it takes more than 10 nodes.
+    g = sf.build_item_graph(rand_instance(random.Random(60), 3, 60, 10**4))
+    assert sf.k_color(g, 3) is None
+    with pytest.raises(sf.BudgetExceededError):
+        sf.k_color(g, 3, sf.SearchLimits(node_budget=10))
+
+
 def test_k_color_rejects_bad_k():
     with pytest.raises(ValueError):
         sf.k_color(sf.ItemGraph(1, ()), 0)
