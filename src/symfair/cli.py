@@ -224,24 +224,24 @@ def _cmd_check(args) -> int:
     return EXIT_UNSAT
 
 
-def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None, str, int]:
-    """One strategy attempt: (partition, status token, exit code)."""
+def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None, str]:
+    """One strategy attempt: (partition, status token)."""
     if strategy == "constructive":
         structure = detect_groups(inst)
         if structure is None:
-            return None, "NOT_APPLICABLE", EXIT_UNSAT
-        return grouped_allocation(inst, structure), "constructive (closed form)", EXIT_OK
+            return None, "NOT_APPLICABLE"
+        return grouped_allocation(inst, structure), "constructive (closed form)"
     if strategy == "coloring":
         try:
             coloring = k_color(build_item_graph(inst), inst.n, _limits(args))
         except BudgetExceededError:
             if args.strategy != "auto":
                 raise
-            return None, "NOT_APPLICABLE", EXIT_UNSAT
+            return None, "NOT_APPLICABLE"
         if coloring is None:
-            return None, "NOT_APPLICABLE", EXIT_UNSAT
+            return None, "NOT_APPLICABLE"
         partition = coloring_to_partition(coloring, inst.n)
-        return partition, "coloring (sufficient condition)", EXIT_OK
+        return partition, "coloring (sufficient condition)"
     if strategy == "heuristic":
         order = order_items(inst, args.order, args.seed)
         result = greedy_symef1(inst, order)
@@ -252,14 +252,14 @@ def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None,
             file=sys.stderr,
         )
         if result.partition is None:
-            return None, "NOT_FOUND", EXIT_UNSAT
-        return result.partition, "heuristic (greedy search)", EXIT_OK
+            return None, "NOT_FOUND"
+        return result.partition, "heuristic (greedy search)"
     outcome = exact_symef1(inst, _limits(args))
     if outcome.status is ExactStatus.FOUND:
-        return outcome.partition, "exact (complete search)", EXIT_OK
+        return outcome.partition, "exact (complete search)"
     if outcome.status is ExactStatus.PROVED_INFEASIBLE:
-        return None, "INFEASIBLE", EXIT_UNSAT
-    return None, "BUDGET_EXCEEDED", EXIT_BUDGET
+        return None, "INFEASIBLE"
+    return None, "BUDGET_EXCEEDED"
 
 
 def _cmd_solve(args) -> int:
@@ -269,18 +269,15 @@ def _cmd_solve(args) -> int:
         if args.strategy == "auto"
         else [args.strategy]
     )
-    token, code = "NOT_FOUND", EXIT_UNSAT
     for stage in stages:
-        partition, token, code = _solve_stage(inst, stage, args)
+        partition, token = _solve_stage(inst, stage, args)
         if partition is not None:
             _verify(inst, partition, stage)
             print(f"solved by: {token}", file=sys.stderr)
             sys.stdout.write(format_partition(partition))
             return EXIT_OK
-        if token in ("INFEASIBLE", "BUDGET_EXCEEDED"):
-            break
     print(token)
-    return code
+    return EXIT_BUDGET if token == "BUDGET_EXCEEDED" else EXIT_UNSAT
 
 
 def _verify(inst: Instance, partition: Partition, stage: str) -> None:

@@ -68,9 +68,8 @@ def grouped_allocation(inst: Instance, structure: GroupStructure) -> Partition:
     n = inst.n
     bundles = [set() for _ in range(n)]
     for agents, support in zip(structure.groups, structure.supports):
-        rep = inst.values[agents[0]]
-        order = sorted(support, key=lambda j: (-rep[j], j))
-        for rank, item in enumerate(order):
+        # The support is the group's positive items, which lead its ranking.
+        for rank, item in enumerate(ranking(inst, agents[0])[: len(support)]):
             bundles[rank % n].add(item)
     unsupported = set(range(inst.m)) - set().union(*structure.supports, set())
     bundles[0].update(unsupported)

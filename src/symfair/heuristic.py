@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Instance, Partition, _first_violation
 
@@ -81,15 +81,21 @@ class _Table:
     bundle's sum minus its best item) are not re-tested. With W = sum - best,
     the state after a move is symEF1 iff, for every agent, the smallest sum is
     at least the largest W, over the touched bundles and the untouched rest.
+
+    Each row ends in a phantom item m that every agent values at 0, so a
+    relocation is scored as a swap whose partner is the phantom, and one
+    exchange loop serves cases 2 and 3; the phantom never enters a bundle.
     """
 
     __slots__ = (
-        "rows", "n", "bundles", "sums", "best", "second", "version", "_ext", "_pairs", "_sorted"
+        "rows", "n", "m", "bundles", "sums", "best", "second", "version", "_ext", "_pairs",
+        "_sorted",
     )
 
     def __init__(self, inst: Instance, bundles: Sequence[Iterable[int]]):
-        self.rows = inst.values
+        self.rows = [row + (0,) for row in inst.values]
         self.n = n = inst.n
+        self.m = inst.m
         self.bundles = [set(b) for b in bundles]
         if len(self.bundles) != n:
             raise ValueError("need exactly one bundle per agent")
@@ -219,34 +225,14 @@ class _Table:
 
     def try_relocate(self, j: int) -> bool:
         """Case 2: move one item of bundle k to bundle l, then put j into k."""
-        n = self.n
-        for k in range(n):
-            items_k = self._sorted_bundle(k)
-            if not items_k:
-                continue
-            for l in range(n):
-                if l == k:
-                    continue
-                consts = self._pair(k, l)
-                for jk in items_k:
-                    for row, sk, b1k, b2k, sl, b1l, _, lo, hi in consts:
-                        v = row[j]
-                        a = row[jk]
-                        sk2 = sk - a + v
-                        top = b2k if a == b1k else b1k
-                        wk = sk2 - (v if v > top else top)
-                        sl2 = sl + a
-                        wl = sl2 - (a if a > b1l else b1l)
-                        # Bundle l only grows, so its sum still covers hi.
-                        if sk2 < wl or sk2 < hi or sl2 < wk or lo < wk or lo < wl:
-                            break
-                    else:
-                        self._commit(k, j, ((jk, k, l),))
-                        return True
-        return False
+        return self._exchange(j, lambda l: (self.m,))
 
     def try_swap(self, j: int) -> bool:
         """Case 3: swap an item of bundle k with one of bundle l, then put j into k."""
+        return self._exchange(j, self._sorted_bundle)
+
+    def _exchange(self, j: int, partners: Callable[[int], Sequence[int]]) -> bool:
+        """Move jk from bundle k to l and ``partners(l)``'s jl from l to k, then put j into k."""
         n = self.n
         for k in range(n):
             items_k = self._sorted_bundle(k)
@@ -255,7 +241,7 @@ class _Table:
             for l in range(n):
                 if l == k:
                     continue
-                items_l = self._sorted_bundle(l)
+                items_l = partners(l)
                 if not items_l:
                     continue
                 consts = self._pair(k, l)
@@ -277,7 +263,8 @@ class _Table:
                                     or lo < wk or lo < wl):
                                 break
                         else:
-                            self._commit(k, j, ((jk, k, l), (jl, l, k)))
+                            moves = ((jk, k, l),) if jl == self.m else ((jk, k, l), (jl, l, k))
+                            self._commit(k, j, moves)
                             return True
         return False
 
@@ -293,14 +280,14 @@ def extend_allocation(
     lists the unallocated items in the order they will be offered. Stats count
     only items placed here.
     """
-    table = _Table(inst, bundles)
-    allocated = set().union(*table.bundles, set())
+    bundles = [list(b) for b in bundles]
     pending = list(pending)
-    if allocated | set(pending) != set(range(inst.m)) or allocated & set(pending):
+    if sorted([j for b in bundles for j in b] + pending) != list(range(inst.m)):
         raise ValueError("bundles plus pending must partition the item set")
+    table = _Table(inst, bundles)
     # Empty bundles are trivially symEF1, so a start from scratch skips the scan.
     pairs = product(range(inst.n), repeat=2)
-    if allocated and _first_violation(inst.values, table.bundles, max, pairs) is not None:
+    if any(bundles) and _first_violation(inst.values, table.bundles, max, pairs) is not None:
         raise ValueError("starting bundles are not symEF1 over their items")
 
     stats = HeuristicStats()
