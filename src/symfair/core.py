@@ -37,7 +37,8 @@ class SearchLimits:
     time_budget: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.node_budget < 1 or self.time_budget <= 0:
+        # "not > 0" also refuses a NaN time budget, which compares false.
+        if self.node_budget < 1 or not self.time_budget > 0:
             raise ValueError("budgets must be positive")
 
 

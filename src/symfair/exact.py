@@ -19,8 +19,11 @@ reach worst_i. Hence no completion is symEF1 when
 
 Placing an item changes only its bundle's term, which never decreases, so
 worst_i updates in O(1). With no items left the second test is exactly the
-symEF1 check. Disabling the prune never changes a verdict or the first
-witness, only node counts.
+symEF1 check. The prune only cuts subtrees, so the accepted leaves come in
+the order of a walk without it, and each unordered partition is a leaf at
+most once. When the enumerated set equals the naive oracle's, no symEF1
+partition was cut, so both walks accept the same leaves in the same order
+and return the same first witness.
 
 Cost model. A node scores all its children when it is expanded, from its own
 bundle sums and maxima, before any of them is placed. It holds, per agent, the
@@ -99,11 +102,10 @@ class _Searcher:
     DFS order, so the first one is the existence witness.
     """
 
-    def __init__(self, inst: Instance, limits: SearchLimits, prune: bool):
+    def __init__(self, inst: Instance, limits: SearchLimits):
         self.n = inst.n
         self.m = inst.m
         self.limits = limits
-        self.prune = prune
         self.order = _search_order(inst)
         # cols[d][i]: agent i's value for the item assigned at depth d.
         self.cols = [[inst.values[i][j] for i in range(inst.n)] for j in self.order]
@@ -129,7 +131,6 @@ class _Searcher:
             return
         cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
         agents = range(n)
-        prune = self.prune
         node_budget = self.limits.node_budget
         time_budget = self.limits.time_budget
         deadline = time.monotonic() + time_budget
@@ -150,19 +151,12 @@ class _Searcher:
         at = [0] * m
         reached = [0] * m
 
-        def score(d: int, kids: list[int], base: list[int] | None) -> list:
+        def score(d: int, kids: list[int], base: list[int]) -> list:
             """Cut the node's children that fail a test; keep the rest in order.
 
             ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)).
-            Unpruned, only the last item's children are tested.
             """
             plan: list = []
-            if not prune:
-                if d + 1 < m:
-                    plan = [(c, k, None) for c, k in enumerate(kids, 1)]
-                    plan.append((len(kids), -1, None))
-                    return plan
-                base = [sum(worst[i] - x for x in sums[i] if x < worst[i]) for i in agents]
             col = cols[d]
             rem = remaining[d + 1]
             for c, k in enumerate(kids, 1):
@@ -279,16 +273,14 @@ class _Searcher:
             reached[d] = 0
 
 
-def exact_symef1(
-    inst: Instance, limits: SearchLimits | None = None, prune: bool = True
-) -> ExactOutcome:
+def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOutcome:
     """Decide symEF1 existence; complete within the given budgets.
 
     Two agents always have a symEF1 partition: when the search runs out of
     budget for n = 2, the answer is the 2-coloring of the conflict graph (a
     union of two matchings, so bipartite), and ``nodes`` is the search's count.
     """
-    searcher = _Searcher(inst, limits or SearchLimits(), prune)
+    searcher = _Searcher(inst, limits or SearchLimits())
     try:
         partition = next(searcher.leaves(), None)
     except BudgetExceededError:
@@ -305,10 +297,7 @@ def exact_symef1(
 
 
 def enumerate_symef1(
-    inst: Instance,
-    limits: SearchLimits | None = None,
-    prune: bool = True,
-    force: bool = False,
+    inst: Instance, limits: SearchLimits | None = None, force: bool = False
 ) -> set[Partition]:
     """All symEF1 partitions as canonical forms; exhaustive or an exception.
 
@@ -316,7 +305,7 @@ def enumerate_symef1(
     raises :class:`BudgetExceededError` when a budget runs out mid-search.
     """
     check_enumeration_guard(inst, force)
-    searcher = _Searcher(inst, limits or SearchLimits(), prune)
+    searcher = _Searcher(inst, limits or SearchLimits())
     return {canonical_partition(p) for p in searcher.leaves()}
 
 

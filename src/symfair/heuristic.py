@@ -35,6 +35,7 @@ state would reject it again.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -46,12 +47,11 @@ _INF = float("inf")
 
 @dataclass
 class HeuristicStats:
-    """How many items each repair placed, and whether any item was left over."""
+    """How many items each repair placed; ``HeuristicResult.found`` says whether all were."""
 
     placed_case1: int = 0
     placed_case2: int = 0
     placed_case3: int = 0
-    failed: bool = False
 
     def placed_total(self) -> int:
         return self.placed_case1 + self.placed_case2 + self.placed_case3
@@ -70,10 +70,12 @@ class HeuristicResult:
 class _Table:
     """Partial symEF1 partition with per-(agent, bundle) sum, best and second-best value.
 
-    ``sums[i][k]``, ``best[i][k]`` and ``second[i][k]`` describe bundle k as
-    agent i values it; an empty bundle has all three 0. The ``try_*`` methods
-    score every candidate of one repair case in scan order and commit the
-    first that keeps the partition symEF1, or leave the table unchanged.
+    ``bundles[k]`` lists bundle k's items in ascending order, the order the
+    exchange loop scans them in. ``sums[i][k]``, ``best[i][k]`` and
+    ``second[i][k]`` describe bundle k as agent i values it; an empty bundle
+    has all three 0. The ``try_*`` methods score every candidate of one repair
+    case in scan order and commit the first that keeps the partition symEF1,
+    or leave the table unchanged.
 
     Scoring assumes the table is symEF1 before the move, which every accepted
     move preserves; the conditions that this invariant already guarantees
@@ -89,14 +91,13 @@ class _Table:
 
     __slots__ = (
         "rows", "n", "m", "bundles", "sums", "best", "second", "version", "_ext", "_pairs",
-        "_sorted",
     )
 
     def __init__(self, inst: Instance, bundles: Sequence[Iterable[int]]):
         self.rows = [row + (0,) for row in inst.values]
         self.n = n = inst.n
         self.m = inst.m
-        self.bundles = [set(b) for b in bundles]
+        self.bundles = [sorted(b) for b in bundles]
         if len(self.bundles) != n:
             raise ValueError("need exactly one bundle per agent")
         self.sums = [[0] * n for _ in range(n)]
@@ -108,7 +109,6 @@ class _Table:
         self.version = 0
         self._ext: list[tuple] | None = None
         self._pairs: dict[tuple[int, int], list[tuple]] = {}
-        self._sorted: list[list[int] | None] = [None] * n
 
     def _rescan(self, i: int, k: int) -> None:
         row = self.rows[i]
@@ -130,7 +130,7 @@ class _Table:
     # -- committing ---------------------------------------------------------
 
     def _add(self, k: int, j: int) -> None:
-        self.bundles[k].add(j)
+        insort(self.bundles[k], j)
         for i in range(self.n):
             v = self.rows[i][j]
             self.sums[i][k] += v
@@ -142,7 +142,7 @@ class _Table:
                 second[k] = v
 
     def _remove(self, k: int, j: int) -> None:
-        self.bundles[k].discard(j)
+        self.bundles[k].remove(j)
         for i in range(self.n):
             v = self.rows[i][j]
             if v >= self.second[i][k]:
@@ -160,15 +160,8 @@ class _Table:
         self.version += 1
         self._ext = None
         self._pairs.clear()
-        self._sorted = [None] * self.n
 
     # -- per-state constants ------------------------------------------------
-
-    def _sorted_bundle(self, k: int) -> list[int]:
-        items = self._sorted[k]
-        if items is None:
-            items = self._sorted[k] = sorted(self.bundles[k])
-        return items
 
     def _extremes(self) -> list[tuple]:
         """Per agent: (row, sums, best, (sum, bundle) ascending, (W, bundle) descending).
@@ -229,13 +222,13 @@ class _Table:
 
     def try_swap(self, j: int) -> bool:
         """Case 3: swap an item of bundle k with one of bundle l, then put j into k."""
-        return self._exchange(j, self._sorted_bundle)
+        return self._exchange(j, self.bundles.__getitem__)
 
     def _exchange(self, j: int, partners: Callable[[int], Sequence[int]]) -> bool:
         """Move jk from bundle k to l and ``partners(l)``'s jl from l to k, then put j into k."""
         n = self.n
         for k in range(n):
-            items_k = self._sorted_bundle(k)
+            items_k = self.bundles[k]
             if not items_k:
                 continue
             for l in range(n):
@@ -310,10 +303,7 @@ def extend_allocation(
             pending.remove(j)
             progress = True
 
-    if pending:
-        stats.failed = True
-        return HeuristicResult(None, stats)
-    return HeuristicResult(table.to_partition(), stats)
+    return HeuristicResult(None if pending else table.to_partition(), stats)
 
 
 def greedy_symef1(inst: Instance, item_order: Sequence[int] | None = None) -> HeuristicResult:

@@ -23,6 +23,9 @@ from .core import Instance
 from .exact import ExactStatus, SearchLimits, exact_symef1
 from .heuristic import greedy_symef1
 
+# numpy draws the entries as int64, so M can be at most the int64 maximum.
+_MAX_M = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -38,6 +41,8 @@ class SimConfig:
             raise ValueError("n, m, and M lists must be nonempty")
         if any(v < 1 for v in self.n_list + self.m_list) or any(v < 0 for v in self.M_list):
             raise ValueError("n and m must be positive, M nonnegative")
+        if any(v > _MAX_M for v in self.M_list):
+            raise ValueError(f"M must be at most 2^63 - 1 = {_MAX_M}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
 
@@ -69,6 +74,8 @@ def random_instance(n: int, m: int, M: int, seed) -> Instance:
     """Uniform i.i.d. integer matrix in {0..M}; deterministic in the seed."""
     if M < 0:
         raise ValueError("M must be nonnegative")
+    if M > _MAX_M:
+        raise ValueError(f"M must be at most 2^63 - 1 = {_MAX_M}")
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, M + 1, size=(n, m))
     return Instance.from_rows(matrix.tolist())

@@ -82,10 +82,12 @@ def test_option_errors_exit_2(files, capsys):
         ["color", inst, "--k=0"],
         ["solve", inst, "--strategy=exact", "--node-budget=0"],
         ["enumerate", inst, "--time-budget=-1"],
+        ["enumerate", inst, "--time-budget=nan"],
         ["enumerate", big],
         ["mnw", big],
         sim + ["--reps", "0"],
         sim + ["--max-value", "-1"],
+        sim + ["--max-value", str(2**63)],
         sim + ["--n", "2..x"],
         sim + ["--m", ","],
         sim + ["--workers", "0"],

@@ -68,7 +68,7 @@ def test_two_agents_out_of_budget_fall_back_to_coloring():
     inst = rand_instance(random.Random(6), 2, 600, 10**4)
     limits = sf.SearchLimits(node_budget=20_000, time_budget=60.0)
     with pytest.raises(sf.BudgetExceededError):
-        next(sf.exact._Searcher(inst, limits, True).leaves())
+        next(sf.exact._Searcher(inst, limits).leaves())
     outcome = sf.exact_symef1(inst, limits)
     assert outcome.status is sf.ExactStatus.FOUND
     assert outcome.nodes == 20_001
@@ -121,6 +121,8 @@ def test_search_limits_validation():
         sf.SearchLimits(node_budget=0)
     with pytest.raises(ValueError):
         sf.SearchLimits(time_budget=0.0)
+    with pytest.raises(ValueError):
+        sf.SearchLimits(time_budget=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,6 @@ class _ReferenceSearcher(sf.exact._Searcher):
             col = cols[d]
             sm = saved_max[d]
             sw = saved_worst[d]
-            test = self.prune or d + 1 == m
             rem = remaining[d + 1]
             for i in agents:
                 srow = sums[i]
@@ -211,19 +212,18 @@ class _ReferenceSearcher(sf.exact._Searcher):
                 sw[i] = w
                 if s - mx > w:
                     worst[i] = w = s - mx
-                if test:
-                    if w > cap[i]:
-                        undo = i + 1
-                        break
-                    slack = rem[i]
-                    for x in srow:
-                        if x < w:
-                            slack -= w - x
-                            if slack < 0:
-                                break
-                    if slack < 0:
-                        undo = i + 1
-                        break
+                if w > cap[i]:
+                    undo = i + 1
+                    break
+                slack = rem[i]
+                for x in srow:
+                    if x < w:
+                        slack -= w - x
+                        if slack < 0:
+                            break
+                if slack < 0:
+                    undo = i + 1
+                    break
             if undo:
                 continue
             if d + 1 == m:
@@ -240,9 +240,9 @@ class _ReferenceSearcher(sf.exact._Searcher):
             pos[d] = 0
 
 
-def _walk(searcher_cls, inst, limits, prune, first_only):
+def _walk(searcher_cls, inst, limits, first_only):
     """(how the walk ended, [(leaf, nodes when it was yielded)], final nodes)."""
-    searcher = searcher_cls(inst, limits, prune)
+    searcher = searcher_cls(inst, limits)
     found = []
     end = "exhausted"
     try:
@@ -256,9 +256,9 @@ def _walk(searcher_cls, inst, limits, prune, first_only):
     return end, found, searcher.nodes
 
 
-def _same_walks(inst, limits, prune, first_only):
-    new = _walk(sf.exact._Searcher, inst, limits, prune, first_only)
-    assert new == _walk(_ReferenceSearcher, inst, limits, prune, first_only)
+def _same_walks(inst, limits, first_only):
+    new = _walk(sf.exact._Searcher, inst, limits, first_only)
+    assert new == _walk(_ReferenceSearcher, inst, limits, first_only)
     return new
 
 
@@ -269,18 +269,15 @@ def test_search_matches_reference_engine():
         n = rng.randint(1, 6)
         m = rng.randint(0, 12)
         inst = rand_instance(rng, n, m, rng.choice((1, 3, 100, 10**4)))
-        prune = rng.random() < 0.7
         budget = rng.choice((1, 2, 5, 17, 100, 1000, None))
-        if budget is None and not prune and m > 8:
-            budget = 10**4  # an unpruned tree over 9+ items is too big to walk out
         limits = sf.SearchLimits(
             node_budget=budget or sf.SearchLimits().node_budget, time_budget=3600.0
         )
         first_only = n**m > 10**5 or rng.random() < 0.5
-        end, found, nodes = _same_walks(inst, limits, prune, first_only)
+        end, found, nodes = _same_walks(inst, limits, first_only)
         ends[end, first_only] += 1
         if end == "exhausted":
-            assert sf.enumerate_symef1(inst, limits, prune, force=True) == {
+            assert sf.enumerate_symef1(inst, limits, force=True) == {
                 sf.canonical_partition(leaf) for leaf, _ in found
             }
     assert len(ends) == 5 and min(ends.values()) >= 50, ends
@@ -294,9 +291,9 @@ def test_search_matches_reference_engine():
             pool_rng = random.Random(f"frontier:{n}:{m}:{r}")
             rows = [[pool_rng.randint(0, 10**4) for _ in range(m)] for _ in range(n)]
             inst = sf.Instance.from_rows(rows)
-            _same_walks(inst, limits, True, True)
+            _same_walks(inst, limits, True)
             # A deadline already past stops the walk at node 4096.
-            end, _, nodes = _same_walks(inst, sf.SearchLimits(time_budget=1e-9), True, True)
+            end, _, nodes = _same_walks(inst, sf.SearchLimits(time_budget=1e-9), True)
             assert (end, nodes) == ("budget", 4096) or nodes < 4096
             timed_out += end == "budget"
     assert timed_out >= 10
@@ -351,11 +348,10 @@ def test_oracle_equivalence_on_random_instances():
         inst = rand_instance(rng, n, m, rng.choice([1, 3, 50]))
         reference = sf.naive_enumerate_symef1(inst)
         assert sf.enumerate_symef1(inst) == reference
-        assert sf.enumerate_symef1(inst, prune=False) == reference
-        with_prune = sf.exact_symef1(inst)
-        without = sf.exact_symef1(inst, prune=False)
-        assert with_prune.found == without.found == bool(reference)
-        assert with_prune.partition == without.partition
+        outcome = sf.exact_symef1(inst)
+        assert outcome.found == bool(reference)
+        if outcome.found:
+            assert sf.canonical_partition(outcome.partition) in reference
 
 
 def test_pairs_guaranteed_for_two_agents_four_distinct_items():

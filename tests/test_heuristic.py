@@ -142,7 +142,6 @@ def reference_extend(inst, bundles, pending):
             pending.remove(j)
             progress = True
     if pending:
-        stats.failed = True
         return None, stats
     return state.to_partition(), stats
 
@@ -150,7 +149,7 @@ def reference_extend(inst, bundles, pending):
 def snapshot(table):
     """Everything a move may change, copied."""
     return (
-        [set(b) for b in table.bundles],
+        [list(b) for b in table.bundles],
         [list(r) for r in table.sums],
         [list(r) for r in table.best],
         [list(r) for r in table.second],
@@ -159,8 +158,8 @@ def snapshot(table):
 
 
 def consistent(inst, table):
-    """The table's sums and top-two values equal a rebuild from its bundles."""
-    return snapshot(table)[1:4] == snapshot(_Table(inst, table.bundles))[1:4]
+    """The table's bundles (kept ascending), sums and top-two values equal a rebuild."""
+    return snapshot(table)[:4] == snapshot(_Table(inst, table.bundles))[:4]
 
 
 def partial_symef1(inst, bundles):
@@ -179,7 +178,6 @@ def test_all_items_fit_when_m_at_most_n():
 def test_trap_state_rejects_every_repair():
     result = sf.extend_allocation(TRAP, TRAP_PARTIAL, [8])
     assert not result.found
-    assert result.stats.failed
     assert result.stats.placed_total() == 0
 
 
@@ -205,7 +203,6 @@ def test_trap_from_scratch_reports_consistently():
     if result.found:
         assert sf.is_symef1(TRAP, result.partition)
     assert result.stats.placed_total() == (9 if result.found else result.stats.placed_total())
-    assert result.found != result.stats.failed
 
 
 def test_random_runs_success_implies_valid_partition():
@@ -223,7 +220,6 @@ def test_random_runs_success_implies_valid_partition():
             assert result.stats.placed_total() == m
         else:
             failed += 1
-            assert result.stats.failed
     assert found > 150  # most uniform instances admit a greedy solution
     assert failed > 0  # and some do not, else the fallback is never exercised
 
@@ -364,7 +360,7 @@ def test_kernel_matches_reference_builder():
             result = sf.greedy_symef1(inst, order)
         expected = reference_extend(inst, bundles, pending)
         assert (result.partition, result.stats) == expected
-        failures += result.stats.failed
+        failures += not result.found
     assert partial_starts > 500
     assert refused > 200, refused
     assert failures > 200

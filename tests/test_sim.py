@@ -22,6 +22,14 @@ def test_random_instance_deterministic_in_seed():
     assert a != c
 
 
+def test_random_instance_max_value_fits_int64():
+    top = 2**63 - 1
+    inst = sf.random_instance(2, 3, top, seed=1)
+    assert all(0 <= v <= top for row in inst.values for v in row)
+    with pytest.raises(ValueError, match="2\\^63"):
+        sf.random_instance(2, 3, top + 1, seed=1)
+
+
 def test_random_instance_mean_matches_uniform_model():
     total = count = 0
     for r in range(2000):
