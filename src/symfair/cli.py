@@ -11,6 +11,9 @@ the n-line file format, so their output pipes straight back into ``check``;
 diagnostics (provenance, heuristic stats, welfare, progress) go to stderr.
 ``color --k`` prints its k color classes, one per line, in the same 1-based
 format: a partition that ``check`` accepts only when k equals n.
+``solve --strategy=auto`` runs the polynomial stages (closed form, greedy
+builder) before the exponential ones (exact coloring, complete search), in one
+order for every n; only the complete search can report ``INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -265,7 +268,7 @@ def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None,
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     stages = (
-        ["constructive", "coloring", "heuristic", "exact"]
+        ["constructive", "heuristic", "coloring", "exact"]
         if args.strategy == "auto"
         else [args.strategy]
     )

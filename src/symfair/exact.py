@@ -19,11 +19,15 @@ reach worst_i. Hence no completion is symEF1 when
 
 Placing an item changes only its bundle's term, which never decreases, so
 worst_i updates in O(1). With no items left the second test is exactly the
-symEF1 check. The prune only cuts subtrees, so the accepted leaves come in
-the order of a walk without it, and each unordered partition is a leaf at
-most once. When the enumerated set equals the naive oracle's, no symEF1
-partition was cut, so both walks accept the same leaves in the same order
-and return the same first witness.
+symEF1 check. A child that leaves worst_i where it is passes the first test,
+since every expanded node passed it (the root trivially). If its item also
+lands in a bundle that stays below worst_i, it passes the second: the deficit
+falls by the item's value v, to at most R_i - v, which is what is left at the
+child. So the search tests neither there. The prune only cuts subtrees, so
+the accepted leaves come in the order of a walk without it, and each
+unordered partition is a leaf at most once. When the enumerated set equals
+the naive oracle's, no symEF1 partition was cut, so both walks accept the
+same leaves in the same order and return the same first witness.
 
 Cost model. A node scores all its children when it is expanded, from its own
 bundle sums and maxima, before any of them is placed. It holds, per agent, the
@@ -184,17 +188,16 @@ class _Searcher:
                         if deficit > r:
                             break
                     else:
-                        if w > cap[i]:
-                            break
                         # Only bundle k's term changes: max(0, w - x) becomes
                         # max(0, w - s).
                         deficit = base[i]
                         if s < w:
                             deficit -= v
-                        elif x < w:
-                            deficit -= w - x
-                        if deficit > rem[i]:
-                            break
+                        else:
+                            if x < w:
+                                deficit -= w - x
+                            if deficit > rem[i]:
+                                break
                     deficits.append(deficit)
                 else:
                     plan.append((c, k, deficits))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
@@ -45,6 +46,8 @@ class SimConfig:
             raise ValueError(f"M must be at most 2^63 - 1 = {_MAX_M}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.master_seed < 0:
+            raise ValueError("master seed must be nonnegative")
 
 
 @dataclass
@@ -123,47 +126,49 @@ def run_simulation(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     reports = []
-    for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):
-        t0 = time.perf_counter()
-        blocks = _split_blocks(cfg.replications, workers)
-        args = [(n, m, M, cfg.master_seed, lo, hi, cfg.limits) for lo, hi in blocks]
-        if workers > 1 and len(args) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    # One pool serves every cell, so its start-up is paid once per run.
+    parallel = workers > 1 and cfg.replications > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):
+            t0 = time.perf_counter()
+            blocks = _split_blocks(cfg.replications, workers)
+            args = [(n, m, M, cfg.master_seed, lo, hi, cfg.limits) for lo, hi in blocks]
+            if pool is None:
+                parts = [_run_block(a) for a in args]
+            else:
                 parts = list(pool.map(_run_block, args))
-        else:
-            parts = [_run_block(a) for a in args]
-        found, fallback, excluded, successes, case1, case2, case3 = (
-            tuple(sum(col) for col in zip(*parts))
-        )
-        wall = time.perf_counter() - t0
-        completed = cfg.replications - excluded
-        placed = m * successes
-        report = SimReport(
-            n=n,
-            m=m,
-            M=M,
-            replications=cfg.replications,
-            pct_symef1=_pct(found, completed),
-            pct_case1=_pct(case1, placed),
-            pct_case2=_pct(case2, placed),
-            pct_case3=_pct(case3, placed),
-            pct_exact_fallback=_pct(fallback, completed),
-            wall_seconds=wall,
-            excluded=excluded,
-        )
-        reports.append(report)
-        if progress is not None:
-            progress(
-                f"n={n} m={m} M={M}: symEF1 {report.pct_symef1:.3f}% "
-                f"fallback {report.pct_exact_fallback:.3f}% "
-                f"excluded {excluded} ({wall:.1f}s)"
+            found, fallback, excluded, successes, case1, case2, case3 = (
+                tuple(sum(col) for col in zip(*parts))
             )
-        if excluded:
-            print(
-                f"warning: n={n} m={m} M={M}: {excluded} replications exceeded "
-                "the search budget and were excluded",
-                file=sys.stderr,
+            wall = time.perf_counter() - t0
+            completed = cfg.replications - excluded
+            placed = m * successes
+            report = SimReport(
+                n=n,
+                m=m,
+                M=M,
+                replications=cfg.replications,
+                pct_symef1=_pct(found, completed),
+                pct_case1=_pct(case1, placed),
+                pct_case2=_pct(case2, placed),
+                pct_case3=_pct(case3, placed),
+                pct_exact_fallback=_pct(fallback, completed),
+                wall_seconds=wall,
+                excluded=excluded,
             )
+            reports.append(report)
+            if progress is not None:
+                progress(
+                    f"n={n} m={m} M={M}: symEF1 {report.pct_symef1:.3f}% "
+                    f"fallback {report.pct_exact_fallback:.3f}% "
+                    f"excluded {excluded} ({wall:.1f}s)"
+                )
+            if excluded:
+                print(
+                    f"warning: n={n} m={m} M={M}: {excluded} replications exceeded "
+                    "the search budget and were excluded",
+                    file=sys.stderr,
+                )
     return reports
 
 

@@ -91,6 +91,7 @@ def test_option_errors_exit_2(files, capsys):
         sim + ["--n", "2..x"],
         sim + ["--m", ","],
         sim + ["--workers", "0"],
+        sim + ["--seed", "-1"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -170,6 +171,53 @@ def test_coloring_out_of_budget(files, capsys, monkeypatch):
     monkeypatch.setattr("symfair.cli.k_color", lambda graph, k: k_color(graph, k, limits))
     assert main(["color", path, "--k=3"]) == 3
     assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
+
+
+# The greedy builder fails on this instance and its conflict graph is 3-colorable.
+GREEDY_MISS = "3 5\n8 10 10 1 0\n2 5 0 5 9\n2 7 6 10 3\n"
+
+
+def test_auto_runs_greedy_before_coloring(files, capsys, monkeypatch):
+    # Where the greedy builder answers, the coloring search never starts.
+    path, inst = _uniform_file(files, random.Random(41), 3, 300)
+
+    def refuse(*args):
+        raise AssertionError("k_color called although the greedy builder answered")
+
+    monkeypatch.setattr("symfair.cli.k_color", refuse)
+    assert main(["solve", path]) == 0
+    captured = capsys.readouterr()
+    assert "solved by: heuristic" in captured.err
+    assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 300))
+
+
+def test_auto_colors_where_greedy_fails(files, capsys):
+    path = files("miss.txt", GREEDY_MISS)
+    assert main(["solve", path, "--strategy=heuristic"]) == 1
+    assert capsys.readouterr().out == "NOT_FOUND\n"
+    assert main(["solve", path]) == 0
+    captured = capsys.readouterr()
+    assert "solved by: coloring" in captured.err
+    inst = sf.parse_instance(GREEDY_MISS)
+    assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 5))
+
+
+def test_auto_goes_on_to_exact_when_coloring_runs_out(files, capsys, monkeypatch):
+    # The coloring stage runs out of budget and counts as not applicable; the
+    # exact stage then runs out too, and solve reports that (exit 3).
+    path = files("miss.txt", GREEDY_MISS)
+    assert main(["solve", path, "--strategy=coloring", "--node-budget=1"]) == 3
+    assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
+    outcomes = []
+
+    def exact(inst, limits):
+        outcomes.append(sf.exact_symef1(inst, limits))
+        return outcomes[-1]
+
+    monkeypatch.setattr("symfair.cli.exact_symef1", exact)
+    assert main(["solve", path, "--node-budget=1"]) == 3
+    assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
+    assert [o.status for o in outcomes] == [sf.ExactStatus.BUDGET_EXCEEDED]
 
 
 def test_solve_constructive(files, capsys):

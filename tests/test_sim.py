@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -148,6 +149,27 @@ def test_config_validation():
         SimConfig(n_list=(2,), m_list=(5,), M_list=(10,), replications=0, master_seed=0)
     with pytest.raises(ValueError):
         SimConfig(n_list=(2,), m_list=(0,), M_list=(10,), replications=1, master_seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(n_list=(2,), m_list=(5,), M_list=(10,), replications=1, master_seed=-1)
+
+
+def test_one_pool_serves_every_cell(monkeypatch):
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("symfair.sim.ProcessPoolExecutor", CountingPool)
+    cfg = SimConfig(n_list=(2, 3), m_list=(4, 5), M_list=(100,), replications=12, master_seed=3)
+    serial = run_simulation(cfg, workers=1)
+    assert opened == []
+    parallel = run_simulation(cfg, workers=2)
+    assert opened == [{"max_workers": 2}]
+    stats = lambda r: (r.n, r.m, r.M, r.pct_symef1, r.pct_case1, r.pct_case2,
+                       r.pct_case3, r.pct_exact_fallback, r.excluded)
+    assert [stats(r) for r in serial] == [stats(r) for r in parallel]
 
 
 def test_run_simulation_rejects_workers_below_one():
