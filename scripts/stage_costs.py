@@ -9,26 +9,30 @@ stages up to the one that decides. The orders are constructive -> coloring ->
 heuristic -> exact ("old"), constructive -> heuristic -> coloring -> exact
 ("new") and constructive -> exact ("exact first").
 
-    PYTHONPATH=src python scripts/stage_costs.py --reps 3
+    PYTHONPATH=src python scripts/stage_costs.py
 
 Instance r of a row is drawn from random.Random("stage:<rows>:<n>:<m>:<r>").
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import random
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 from symfair import Instance
-from symfair.cli import _solve_stage
+from symfair.cli import AUTO_STAGES, _solve_stage
 
+REPS = 3  # instances per row
+M_PER_N = (3, 50)  # the small and the large m, as multiples of n
+N = range(2, 9)
+
+# The order auto used before it ran the greedy builder first.
 OLD = ("constructive", "coloring", "heuristic", "exact")
-NEW = ("constructive", "heuristic", "coloring", "exact")
-ORDERS = {"old": OLD, "new": NEW, "exact first": ("constructive", "exact")}
+ORDERS = {"old": OLD, "new": AUTO_STAGES, "exact first": ("constructive", "exact")}
 ANSWERED = "answered"
 SHORT = {"constructive": "constr.", "heuristic": "greedy", "coloring": "coloring",
          "exact": "exact", "INFEASIBLE": "infeasible", "BUDGET_EXCEEDED": "budget"}
@@ -42,10 +46,10 @@ def draw(rows: str, n: int, m: int, r: int) -> Instance:
 
 def run_stages(inst: Instance) -> dict[str, tuple[float, str]]:
     """(CPU seconds, ANSWERED or the status token) of each stage some order runs."""
-    args = argparse.Namespace(strategy="auto", order="index", seed=None,
-                              node_budget=None, time_budget=None)
+    args = SimpleNamespace(strategy="auto", order="index", seed=None,
+                           node_budget=None, time_budget=None)
     out: dict[str, tuple[float, str]] = {}
-    for stage in OLD:
+    for stage in AUTO_STAGES:
         t0 = time.process_time()
         with contextlib.redirect_stderr(io.StringIO()):
             partition, token = _solve_stage(inst, stage, args)
@@ -67,22 +71,17 @@ def under(order, stages) -> tuple[str, float]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=3, help="instances per row")
-    parser.add_argument("--small", type=int, default=3, help="small m as a multiple of n")
-    parser.add_argument("--large", type=int, default=50, help="large m as a multiple of n")
-    parser.add_argument("--n", default="2,3,4,5,6,7,8")
-    opts = parser.parse_args()
-    print("| rows | n | m | decided by (old / new / exact first) | constr. | greedy "
-          "| coloring | exact | old | new | exact first |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    columns = ["rows", "n", "m", "decided by (old / new / exact first)",
+               *(SHORT[s] for s in AUTO_STAGES), *ORDERS]
+    print("| " + " | ".join(columns) + " |")
+    print("|" + "---|" * len(columns))
     for rows in ("uniform", "binary"):
-        for n in map(int, opts.n.split(",")):
-            for m in (opts.small * n, opts.large * n):
-                per_stage = dict.fromkeys(NEW, 0.0)
+        for n in N:
+            for m in (k * n for k in M_PER_N):
+                per_stage = dict.fromkeys(AUTO_STAGES, 0.0)
                 totals = dict.fromkeys(ORDERS, 0.0)
                 verdicts: dict[str, list[str]] = {name: [] for name in ORDERS}
-                for r in range(opts.reps):
+                for r in range(REPS):
                     stages = run_stages(draw(rows, n, m, r))
                     for stage, (seconds, _) in stages.items():
                         per_stage[stage] += seconds
@@ -90,7 +89,7 @@ def main() -> None:
                         verdict, seconds = under(order, stages)
                         verdicts[name].append(verdict)
                         totals[name] += seconds
-                cells = [f"{1e3 * per_stage[s]:.1f}" for s in NEW]
+                cells = [f"{1e3 * per_stage[s]:.1f}" for s in AUTO_STAGES]
                 cells += [f"{1e3 * totals[name]:.1f}" for name in ORDERS]
                 tally = " / ".join(_tally(verdicts[name]) for name in ORDERS)
                 print(f"| {rows} | {n} | {m} | {tally} | " + " | ".join(cells) + " |",

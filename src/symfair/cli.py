@@ -265,13 +265,13 @@ def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None,
     return None, "BUDGET_EXCEEDED"
 
 
+# Polynomial stages first, then the exponential ones; the same order for every n.
+AUTO_STAGES = ("constructive", "heuristic", "coloring", "exact")
+
+
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    stages = (
-        ["constructive", "heuristic", "coloring", "exact"]
-        if args.strategy == "auto"
-        else [args.strategy]
-    )
+    stages = AUTO_STAGES if args.strategy == "auto" else (args.strategy,)
     for stage in stages:
         partition, token = _solve_stage(inst, stage, args)
         if partition is not None:

@@ -155,8 +155,9 @@ def test_solve_coloring_three_agents_m_300_not_applicable(files, capsys):
 
 def test_coloring_out_of_budget(files, capsys, monkeypatch):
     # A uniform 3x60 conflict graph is not 3-colorable. When k_color runs out
-    # of budget, auto treats the coloring stage as not applicable and goes on;
-    # the coloring stage alone and `color` exit 3.
+    # of budget, the coloring stage alone and `color` exit 3. The auto call
+    # checks that the greedy builder answers first; the budget fall-through
+    # from coloring to the exact stage is test_auto_goes_on_to_exact_when_coloring_runs_out.
     path, inst = _uniform_file(files, random.Random(60), 3, 60)
     assert main(["solve", path, "--strategy=coloring"]) == 1
     assert capsys.readouterr().out == "NOT_APPLICABLE\n"
