@@ -21,9 +21,8 @@ import io
 import random
 import time
 from collections import Counter
-from types import SimpleNamespace
 
-from symfair import Instance
+from symfair import Instance, SearchLimits
 from symfair.cli import AUTO_STAGES, _solve_stage
 
 REPS = 3  # instances per row
@@ -46,13 +45,11 @@ def draw(rows: str, n: int, m: int, r: int) -> Instance:
 
 def run_stages(inst: Instance) -> dict[str, tuple[float, str]]:
     """(CPU seconds, ANSWERED or the status token) of each stage some order runs."""
-    args = SimpleNamespace(strategy="auto", order="index", seed=None,
-                           node_budget=None, time_budget=None)
     out: dict[str, tuple[float, str]] = {}
     for stage in AUTO_STAGES:
         t0 = time.process_time()
         with contextlib.redirect_stderr(io.StringIO()):
-            partition, token = _solve_stage(inst, stage, args)
+            partition, token = _solve_stage(inst, stage, SearchLimits(), range(inst.m))
         out[stage] = (time.process_time() - t0, token if partition is None else ANSWERED)
         if stage == "constructive" and partition is not None:
             break

@@ -153,8 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
+    defaults = SearchLimits()
+    p.add_argument("--node-budget", type=int, default=defaults.node_budget)
+    p.add_argument("--time-budget", type=float, default=defaults.time_budget)
 
 
 @contextmanager
@@ -171,12 +172,8 @@ def _input_error() -> Iterator[None]:
 
 
 def _limits(args) -> SearchLimits:
-    defaults = SearchLimits()
     with _input_error():
-        return SearchLimits(
-            node_budget=defaults.node_budget if args.node_budget is None else args.node_budget,
-            time_budget=defaults.time_budget if args.time_budget is None else args.time_budget,
-        )
+        return SearchLimits(node_budget=args.node_budget, time_budget=args.time_budget)
 
 
 def _read_text(path: str) -> str:
@@ -227,26 +224,25 @@ def _cmd_check(args) -> int:
     return EXIT_UNSAT
 
 
-def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None, str]:
-    """One strategy attempt: (partition, status token)."""
-    if strategy == "constructive":
+def _solve_stage(
+    inst: Instance, stage: str, limits: SearchLimits, order: Sequence[int]
+) -> tuple[Partition | None, str]:
+    """One stage attempt: (partition, status token). ``order`` is the greedy item order."""
+    if stage == "constructive":
         structure = detect_groups(inst)
         if structure is None:
             return None, "NOT_APPLICABLE"
         return grouped_allocation(inst, structure), "constructive (closed form)"
-    if strategy == "coloring":
+    if stage == "coloring":
         try:
-            coloring = k_color(build_item_graph(inst), inst.n, _limits(args))
+            coloring = k_color(build_item_graph(inst), inst.n, limits)
         except BudgetExceededError:
-            if args.strategy != "auto":
-                raise
-            return None, "NOT_APPLICABLE"
+            return None, "BUDGET_EXCEEDED"
         if coloring is None:
             return None, "NOT_APPLICABLE"
         partition = coloring_to_partition(coloring, inst.n)
         return partition, "coloring (sufficient condition)"
-    if strategy == "heuristic":
-        order = order_items(inst, args.order, args.seed)
+    if stage == "heuristic":
         result = greedy_symef1(inst, order)
         stats = result.stats
         print(
@@ -257,7 +253,7 @@ def _solve_stage(inst: Instance, strategy: str, args) -> tuple[Partition | None,
         if result.partition is None:
             return None, "NOT_FOUND"
         return result.partition, "heuristic (greedy search)"
-    outcome = exact_symef1(inst, _limits(args))
+    outcome = exact_symef1(inst, limits)
     if outcome.status is ExactStatus.FOUND:
         return outcome.partition, "exact (complete search)"
     if outcome.status is ExactStatus.PROVED_INFEASIBLE:
@@ -271,9 +267,11 @@ AUTO_STAGES = ("constructive", "heuristic", "coloring", "exact")
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
+    limits = _limits(args)
+    order = order_items(inst, args.order, args.seed)
     stages = AUTO_STAGES if args.strategy == "auto" else (args.strategy,)
     for stage in stages:
-        partition, token = _solve_stage(inst, stage, args)
+        partition, token = _solve_stage(inst, stage, limits, order)
         if partition is not None:
             _verify(inst, partition, stage)
             print(f"solved by: {token}", file=sys.stderr)

@@ -59,6 +59,7 @@ from .core import (
     SearchLimits,
     is_symef1,
 )
+from .heuristic import order_items
 from .tuples import build_item_graph, coloring_to_partition, k_color
 
 
@@ -91,12 +92,6 @@ def check_enumeration_guard(inst: Instance, force: bool = False) -> None:
         )
 
 
-def _search_order(inst: Instance) -> list[int]:
-    # High-impact items first: descending total value, ties by index.
-    totals = [sum(inst.values[i][j] for i in range(inst.n)) for j in range(inst.m)]
-    return sorted(range(inst.m), key=lambda j: (-totals[j], j))
-
-
 class _Searcher:
     """Iterative depth-first engine shared by the existence search and the enumerator.
 
@@ -110,7 +105,8 @@ class _Searcher:
         self.n = inst.n
         self.m = inst.m
         self.limits = limits
-        self.order = _search_order(inst)
+        # High-impact items first: descending total value, ties by index.
+        self.order = order_items(inst, "desc-total-value")
         # cols[d][i]: agent i's value for the item assigned at depth d.
         self.cols = [[inst.values[i][j] for i in range(inst.n)] for j in self.order]
         # remaining[d][i]: agent i's value for the items at depths >= d.

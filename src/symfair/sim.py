@@ -10,7 +10,6 @@ depend on worker count or execution order.
 
 from __future__ import annotations
 
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -53,7 +52,7 @@ class SimConfig:
 @dataclass
 class SimReport:
     """One CSV row; ``excluded`` counts budget-exceeded replications, which are
-    logged separately and left out of every percentage."""
+    reported through ``progress`` and left out of every percentage."""
 
     n: int
     m: int
@@ -117,7 +116,9 @@ def run_simulation(
 
     Replications run in parallel blocks; the counters are integer sums, so the
     aggregate is identical for any worker count or block split. ``workers``
-    defaults to the CPU count; a value below 1 raises ValueError.
+    defaults to the CPU count; a value below 1 raises ValueError. No more
+    processes start than there are replications. Each cell's summary, and a
+    warning for a cell with budget-exceeded replications, go to ``progress``.
     """
     if workers is None:
         import os
@@ -126,9 +127,10 @@ def run_simulation(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     reports = []
+    # A block holds at least one replication, so more workers would sit idle.
+    workers = min(workers, cfg.replications)
     # One pool serves every cell, so its start-up is paid once per run.
-    parallel = workers > 1 and cfg.replications > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):
             t0 = time.perf_counter()
             blocks = _split_blocks(cfg.replications, workers)
@@ -163,12 +165,11 @@ def run_simulation(
                     f"fallback {report.pct_exact_fallback:.3f}% "
                     f"excluded {excluded} ({wall:.1f}s)"
                 )
-            if excluded:
-                print(
-                    f"warning: n={n} m={m} M={M}: {excluded} replications exceeded "
-                    "the search budget and were excluded",
-                    file=sys.stderr,
-                )
+                if excluded:
+                    progress(
+                        f"warning: n={n} m={m} M={M}: {excluded} replications "
+                        "exceeded the search budget and were excluded"
+                    )
     return reports
 
 

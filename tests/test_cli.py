@@ -81,6 +81,10 @@ def test_option_errors_exit_2(files, capsys):
     cases = [
         ["color", inst, "--k=0"],
         ["solve", inst, "--strategy=exact", "--node-budget=0"],
+        ["solve", inst, "--node-budget=0"],
+        ["solve", inst, "--time-budget=nan"],
+        ["solve", inst, "--strategy=heuristic", "--time-budget=-1"],
+        ["solve", inst, "--strategy=constructive", "--node-budget=0"],
         ["enumerate", inst, "--time-budget=-1"],
         ["enumerate", inst, "--time-budget=nan"],
         ["enumerate", big],
@@ -204,8 +208,8 @@ def test_auto_colors_where_greedy_fails(files, capsys):
 
 
 def test_auto_goes_on_to_exact_when_coloring_runs_out(files, capsys, monkeypatch):
-    # The coloring stage runs out of budget and counts as not applicable; the
-    # exact stage then runs out too, and solve reports that (exit 3).
+    # The coloring stage runs out of budget and auto goes on to the exact
+    # stage, which runs out too, and solve reports that (exit 3).
     path = files("miss.txt", GREEDY_MISS)
     assert main(["solve", path, "--strategy=coloring", "--node-budget=1"]) == 3
     assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
@@ -334,6 +338,18 @@ def test_simulate_small_grid(files, tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("2,3,10,20,100.000")
     capsys.readouterr()
+
+
+def test_simulate_warns_once_per_cell_with_exclusions(capsys):
+    argv = ["simulate", "--n", "3", "--m", "4", "--max-value", "10", "--reps", "20",
+            "--node-budget", "1", "--workers", "1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    warning = ("warning: n=3 m=4 M=10: 8 replications exceeded the search budget "
+               "and were excluded\n")
+    assert captured.err.count(warning) == 1
+    header, row = captured.out.splitlines()
+    assert row.rsplit(",", 1)[0] == "3,4,10,20,100.000,89.583,10.417,0.000,66.667"
 
 
 def test_parse_int_list():

@@ -172,6 +172,48 @@ def test_one_pool_serves_every_cell(monkeypatch):
     assert [stats(r) for r in serial] == [stats(r) for r in parallel]
 
 
+def test_pool_has_no_more_workers_than_replications(monkeypatch):
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr("symfair.sim.ProcessPoolExecutor", SerialPool)
+    stats = lambda r: (r.pct_symef1, r.pct_case1, r.pct_case2, r.pct_case3,
+                       r.pct_exact_fallback, r.excluded)
+    cfg = SimConfig(n_list=(3,), m_list=(5,), M_list=(10,), replications=3, master_seed=3)
+    (pooled,) = run_simulation(cfg, workers=64)
+    assert opened == [3]
+    (serial,) = run_simulation(cfg, workers=1)
+    assert stats(pooled) == stats(serial)
+    single = SimConfig(n_list=(3,), m_list=(5,), M_list=(10,), replications=1, master_seed=3)
+    run_simulation(single, workers=64)
+    assert opened == [3]
+
+
+def test_exclusion_warning_goes_to_progress_only(capsys):
+    cfg = SimConfig(n_list=(3,), m_list=(4,), M_list=(10,), replications=20, master_seed=42,
+                    limits=sf.SearchLimits(node_budget=1))
+    (report,) = run_simulation(cfg, workers=1)
+    assert report.excluded == 8
+    assert capsys.readouterr() == ("", "")
+    progress = []
+    run_simulation(cfg, workers=1, progress=progress.append)
+    assert progress[1] == ("warning: n=3 m=4 M=10: 8 replications exceeded the search "
+                           "budget and were excluded")
+    assert len(progress) == 2
+
+
 def test_run_simulation_rejects_workers_below_one():
     cfg = SimConfig(n_list=(2,), m_list=(3,), M_list=(10,), replications=1, master_seed=0)
     progress = []
