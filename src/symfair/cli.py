@@ -19,6 +19,7 @@ order for every n; only the complete search can report ``INFEASIBLE``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -76,7 +77,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every ``main``.
+
+    ``parse_args`` makes a fresh ``Namespace`` on every call, so no option
+    value or handler carries over from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="symfair",
         description="Verify and construct partitions of indivisible goods that "
@@ -119,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="exactly k-color the item conflict graph")
     p.add_argument("instance")
     p.add_argument("--k", type=int, required=True)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_color)
 
     p = sub.add_parser("enumerate", help="list every distinct symEF1 partition")
@@ -303,8 +311,9 @@ def _cmd_graph(args) -> int:
 def _cmd_color(args) -> int:
     if args.k < 1:
         raise ParseError("--k must be at least 1")
+    limits = _limits(args)
     inst = _read_instance(args.instance)
-    coloring = k_color(build_item_graph(inst), args.k)
+    coloring = k_color(build_item_graph(inst), args.k, limits)
     if coloring is None:
         print(f"INFEASIBLE k={args.k}")
         return EXIT_UNSAT

@@ -45,17 +45,15 @@ def detect_groups(inst: Instance) -> GroupStructure | None:
     row_to_agents: dict[tuple[int, ...], list[int]] = {}
     for i in range(inst.n):
         row_to_agents.setdefault(inst.values[i], []).append(i)
-    groups = []
-    supports = []
-    claimed: set[int] = set()
-    for row, agents in row_to_agents.items():
-        support = frozenset(j for j in range(inst.m) if row[j] > 0)
-        if support & claimed:
+    rows = list(row_to_agents)
+    # Values are nonnegative, so bool(v) is v > 0. Stop at the first item two
+    # distinct rows both value, before building any support.
+    for column in zip(*rows):
+        if sum(map(bool, column)) > 1:
             return None
-        claimed.update(support)
-        groups.append(tuple(agents))
-        supports.append(support)
-    return GroupStructure(tuple(groups), tuple(supports))
+    groups = tuple(tuple(agents) for agents in row_to_agents.values())
+    supports = tuple(frozenset(j for j, v in enumerate(row) if v > 0) for row in rows)
+    return GroupStructure(groups, supports)
 
 
 def grouped_allocation(inst: Instance, structure: GroupStructure) -> Partition:

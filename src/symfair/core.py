@@ -297,13 +297,15 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"line {lineno}: more than {n} value rows")
         if len(tokens) != m:
             raise ParseError(f"line {lineno}: expected {m} values, got {len(tokens)}")
-        row = []
-        for tok in tokens:
-            v = _parse_int(tok, lineno)
-            if v < 0:
-                raise ParseError(f"line {lineno}: negative value {v}")
-            row.append(v)
-        rows.append(tuple(row))
+        # Convert the whole row at once; only a bad row takes the per-token
+        # path, which names its first bad token in line order.
+        try:
+            row = tuple(map(int, tokens))
+        except ValueError:
+            row = None
+        if row is None or min(row) < 0:
+            row = _parse_values(tokens, lineno)
+        rows.append(row)
     if header is None:
         raise ParseError("empty instance file")
     n, m = header
@@ -344,6 +346,17 @@ def format_partition(partition: Partition) -> str:
     """Render a partition in the n-line, 1-based file format."""
     lines = [" ".join(str(j + 1) for j in sorted(b)) for b in partition.bundles]
     return "\n".join(lines) + "\n"
+
+
+def _parse_values(tokens: Sequence[str], lineno: int) -> tuple[int, ...]:
+    """One value row token by token; raises at the first bad token in line order."""
+    row = []
+    for tok in tokens:
+        v = _parse_int(tok, lineno)
+        if v < 0:
+            raise ParseError(f"line {lineno}: negative value {v}")
+        row.append(v)
+    return tuple(row)
 
 
 def _parse_int(token: str, lineno: int) -> int:

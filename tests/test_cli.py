@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import symfair as sf
+from symfair import cli
 from symfair.cli import _parse_int_list, main
 
 BLOCKER = "3 4\n1 1 1 0\n1 1 0 1\n1 0 1 1\n"
@@ -80,6 +82,8 @@ def test_option_errors_exit_2(files, capsys):
     sim = ["simulate", "--n", "2", "--m", "3", "--max-value", "10", "--workers", "1"]
     cases = [
         ["color", inst, "--k=0"],
+        ["color", inst, "--k=3", "--node-budget=0"],
+        ["color", inst, "--k=3", "--time-budget=nan"],
         ["solve", inst, "--strategy=exact", "--node-budget=0"],
         ["solve", inst, "--node-budget=0"],
         ["solve", inst, "--time-budget=nan"],
@@ -157,7 +161,7 @@ def test_solve_coloring_three_agents_m_300_not_applicable(files, capsys):
     assert capsys.readouterr().out == "NOT_APPLICABLE\n"
 
 
-def test_coloring_out_of_budget(files, capsys, monkeypatch):
+def test_coloring_out_of_budget(files, capsys):
     # A uniform 3x60 conflict graph is not 3-colorable. When k_color runs out
     # of budget, the coloring stage alone and `color` exit 3. The auto call
     # checks that the greedy builder answers first; the budget fall-through
@@ -171,10 +175,7 @@ def test_coloring_out_of_budget(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "solved by: heuristic" in captured.err
     assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 60))
-    k_color = sf.k_color
-    limits = sf.SearchLimits(node_budget=5)
-    monkeypatch.setattr("symfair.cli.k_color", lambda graph, k: k_color(graph, k, limits))
-    assert main(["color", path, "--k=3"]) == 3
+    assert main(["color", path, "--k=3", "--node-budget=5"]) == 3
     assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
 
 
@@ -367,6 +368,47 @@ def test_version_flag(capsys):
     assert "symfair" in capsys.readouterr().out
 
 
+def test_parser_built_once_without_state_between_calls(files, capsys, monkeypatch):
+    # main reuses one parser; a call's options, defaults and errors must not
+    # reach the next call, so the last plain solve runs auto at the default budget.
+    # argparse copies a subcommand's options from a fresh inner namespace, so a
+    # shared outer Namespace would leak only other subcommands' attributes:
+    # the namespaces themselves are checked too.
+    path = files("miss.txt", GREEDY_MISS)
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert main(["solve", path, "--strategy=exact", "--node-budget=1"]) == 3
+    capsys.readouterr()
+    assert main(["solve", path]) == 0
+    assert "solved by: coloring" in capsys.readouterr().err
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert len(parsed) == 2 and parsed[0] is not parsed[1]
+    defaults = sf.SearchLimits()
+    assert {k: v for k, v in vars(parsed[1]).items() if k != "handler"} == {
+        "command": "solve",
+        "instance": path,
+        "strategy": "auto",
+        "order": "index",
+        "seed": None,
+        "node_budget": defaults.node_budget,
+        "time_budget": defaults.time_budget,
+    }
+
+
 def _subprocess_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
     return dict(os.environ, PYTHONPATH=src)
@@ -420,7 +462,7 @@ def test_solve_verification_survives_optimized_mode(files):
 def test_unexpected_exception_exits_4_with_one_line(files, capsys, monkeypatch):
     inst = files("inst.txt", CLIQUE)
 
-    def broken(graph, k):
+    def broken(graph, k, limits):
         raise RuntimeError("bad\nstate")
 
     monkeypatch.setattr("symfair.cli.k_color", broken)
@@ -434,7 +476,7 @@ def test_library_value_error_is_internal_not_input(files, capsys, monkeypatch):
     # A ValueError raised inside the program is a bug, not a bad input file.
     inst = files("inst.txt", CLIQUE)
 
-    def broken(graph, k):
+    def broken(graph, k, limits):
         raise ValueError("inconsistent frame stack")
 
     monkeypatch.setattr("symfair.cli.k_color", broken)

@@ -64,6 +64,59 @@ def test_detect_groups_rejects_overlap():
     assert sf.detect_groups(three_agent_blocker()) is None
 
 
+def _reference_detect_groups(inst):
+    """Full-support grouping that ``detect_groups`` must match."""
+    row_to_agents = {}
+    for i in range(inst.n):
+        row_to_agents.setdefault(inst.values[i], []).append(i)
+    groups = []
+    supports = []
+    claimed = set()
+    for row, agents in row_to_agents.items():
+        support = frozenset(j for j in range(inst.m) if row[j] > 0)
+        if support & claimed:
+            return None
+        claimed.update(support)
+        groups.append(tuple(agents))
+        supports.append(support)
+    return sf.GroupStructure(tuple(groups), tuple(supports))
+
+
+def test_detect_groups_matches_reference():
+    # Identical rows, all-zero rows, disjoint supports (with and without
+    # unvalued items) and supports that overlap on one or many items.
+    rng = random.Random(13)
+    kinds = {"None": 0, "groups": 0}
+    for trial in range(2000):
+        n, m = rng.randint(1, 5), rng.randint(0, 12)
+        shape = trial % 4
+        if shape == 0:  # identical rows, some all zero
+            base = [rng.randint(0, 9) for _ in range(m)]
+            rows = [base if rng.random() < 0.7 else [0] * m for _ in range(n)]
+        elif shape == 1:  # disjoint supports; an owner of -1 leaves the item unvalued
+            owner = [rng.randrange(-1, n) for _ in range(m)]
+            rows = [[rng.randint(1, 9) if owner[j] == i else 0 for j in range(m)]
+                    for i in range(n)]
+            if rng.random() < 0.3:
+                rows = [rows[rng.randrange(n)] for _ in range(n)]
+        elif shape == 2:  # disjoint supports plus one shared item
+            owner = [rng.randrange(n) for _ in range(m)]
+            rows = [[rng.randint(1, 9) if owner[j] == i else 0 for j in range(m)]
+                    for i in range(n)]
+            if m and n > 1:
+                j = rng.randrange(m)
+                for i in rng.sample(range(n), 2):
+                    rows[i][j] = rng.randint(1, 9)
+        else:  # random sparse rows, overlapping in many places
+            rows = [[rng.choice([0, 0, rng.randint(1, 9)]) for _ in range(m)]
+                    for _ in range(n)]
+        inst = sf.Instance.from_rows(rows) if m else sf.Instance(n, 0, ((),) * n)
+        want = _reference_detect_groups(inst)
+        assert sf.detect_groups(inst) == want, rows
+        kinds["None" if want is None else "groups"] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
 def test_grouped_allocation_single_group_matches_round_robin():
     inst = sf.Instance.from_rows([[9, 4, 7, 2]] * 3)
     gs = sf.detect_groups(inst)

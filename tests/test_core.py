@@ -49,11 +49,97 @@ def test_parse_instance_comments_and_blanks():
         ("2 2\n1 1.5\n1 2\n", "line 2"),
         ("2 2\n1 2\n", "expected 2 value rows"),
         ("2 2\n1 2\n3 4\n5 6\n", "line 4"),
+        # The first bad token in line order names the error.
+        ("2 2\n-1 x\n1 2\n", "line 2: negative value -1"),
+        ("2 2\nx -1\n1 2\n", "line 2: not an integer: 'x'"),
     ],
 )
 def test_parse_instance_errors_name_lines(text, fragment):
     with pytest.raises(sf.ParseError, match=fragment):
         sf.parse_instance(text)
+
+
+def _reference_parse_instance(text):
+    """The token-by-token instance parser that ``parse_instance`` must match."""
+
+    def parse_int(token, lineno):
+        try:
+            return int(token)
+        except ValueError:
+            raise sf.ParseError(f"line {lineno}: not an integer: {token!r}") from None
+
+    header = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise sf.ParseError(f"line {lineno}: expected header 'n m'")
+            n = parse_int(tokens[0], lineno)
+            m = parse_int(tokens[1], lineno)
+            if n < 1:
+                raise sf.ParseError(f"line {lineno}: agent count must be at least 1")
+            if m < 0:
+                raise sf.ParseError(f"line {lineno}: item count cannot be negative")
+            header = (n, m)
+            continue
+        n, m = header
+        if len(rows) >= n:
+            raise sf.ParseError(f"line {lineno}: more than {n} value rows")
+        if len(tokens) != m:
+            raise sf.ParseError(f"line {lineno}: expected {m} values, got {len(tokens)}")
+        row = []
+        for tok in tokens:
+            v = parse_int(tok, lineno)
+            if v < 0:
+                raise sf.ParseError(f"line {lineno}: negative value {v}")
+            row.append(v)
+        rows.append(tuple(row))
+    if header is None:
+        raise sf.ParseError("empty instance file")
+    n, m = header
+    if m == 0 and not rows:
+        rows = [()] * n
+    if len(rows) != n:
+        raise sf.ParseError(f"expected {n} value rows, found {len(rows)}")
+    return sf.Instance(n, m, tuple(rows))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except sf.ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_parse_instance_matches_reference_parser():
+    # Mostly valid values, with the tokens int() treats specially (a sign, an
+    # underscore, -0) and bad ones (negative, non-integer) at random positions.
+    odd = ["+5", "1_0", "-0", "-1", "-3", "x", "1.5"]
+    rng = random.Random(2406)
+    outcomes = []
+    for _ in range(3000):
+        n, m = rng.randint(1, 3), rng.randint(0, 5)
+        bad_share = rng.choice([0.0, 0.05, 0.2, 0.5])
+        lines = [f"{n} {m}"]
+        for _ in range(n + rng.choice([0, 0, 0, -1, 1])):
+            width = m if rng.random() < 0.9 else m + rng.choice([-1, 1])
+            tokens = [
+                rng.choice(odd) if rng.random() < bad_share else str(rng.randint(0, 99))
+                for _ in range(max(width, 0))
+            ]
+            lines.append(" ".join(tokens))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "# comment"]))
+        text = "\n".join(lines) + "\n"
+        want = _outcome(_reference_parse_instance, text)
+        assert _outcome(sf.parse_instance, text) == want, text
+        outcomes.append(want if isinstance(want, str) else "Instance")
+    for kind in ("Instance", "negative value -3", "not an integer: 'x'", "not an integer: '1.5'"):
+        assert sum(kind in outcome for outcome in outcomes) >= 100, kind
 
 
 def test_partition_round_trip_through_file_format():
