@@ -371,10 +371,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _render_bundles(partition: Partition) -> str:
-    parts = []
-    for bundle in partition.bundles:
-        parts.append(" ".join(str(j + 1) for j in sorted(bundle)) if bundle else "-")
-    return " | ".join(parts)
+    """The bundles on one line, ' | ' between them and '-' for an empty one."""
+    return " | ".join(line or "-" for line in format_partition(partition).splitlines())
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

@@ -28,11 +28,8 @@ def agent_round_robin(inst: Instance, i: int) -> Partition:
     Bundle l receives agent i's l-th favourite item of every round, so bundle
     indices are ordered from best to worst in agent i's eyes.
     """
-    order = ranking(inst, i)
-    bundles = [set() for _ in range(inst.n)]
-    for rank, item in enumerate(order):
-        bundles[rank % inst.n].add(item)
-    return Partition(tuple(frozenset(b) for b in bundles))
+    n = inst.n
+    return Partition.from_labels(((j, rank % n) for rank, j in enumerate(ranking(inst, i))), n)
 
 
 def detect_groups(inst: Instance) -> GroupStructure | None:
@@ -64,14 +61,14 @@ def grouped_allocation(inst: Instance, structure: GroupStructure) -> Partition:
     """
     _validate_structure(inst, structure)
     n = inst.n
-    bundles = [set() for _ in range(n)]
-    for agents, support in zip(structure.groups, structure.supports):
-        # The support is the group's positive items, which lead its ranking.
-        for rank, item in enumerate(ranking(inst, agents[0])[: len(support)]):
-            bundles[rank % n].add(item)
-    unsupported = set(range(inst.m)) - set().union(*structure.supports, set())
-    bundles[0].update(unsupported)
-    return Partition(tuple(frozenset(b) for b in bundles))
+    # The support is the group's positive items, which lead its ranking.
+    labels = [
+        (item, rank % n)
+        for agents, support in zip(structure.groups, structure.supports)
+        for rank, item in enumerate(ranking(inst, agents[0])[: len(support)])
+    ]
+    unsupported = set(range(inst.m)).difference(*structure.supports)
+    return Partition.from_labels(labels + [(j, 0) for j in unsupported], n)
 
 
 def _validate_structure(inst: Instance, structure: GroupStructure) -> None:

@@ -101,6 +101,16 @@ class Partition:
     def of(cls, *bundles: Iterable[int]) -> "Partition":
         return cls(tuple(frozenset(b) for b in bundles))
 
+    @classmethod
+    def from_labels(cls, pairs: Iterable[tuple[int, int]], n: int) -> "Partition":
+        """n bundles from (item, bundle) pairs; a bundle index must lie in 0..n-1."""
+        bundles: list[list[int]] = [[] for _ in range(n)]
+        for item, k in pairs:
+            if not 0 <= k < n:
+                raise ValueError(f"bundle index {k} is outside 0..{n - 1}")
+            bundles[k].append(item)
+        return cls.of(*bundles)
+
     @property
     def items(self) -> frozenset[int]:
         return frozenset().union(*self.bundles) if self.bundles else frozenset()

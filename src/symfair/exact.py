@@ -118,10 +118,7 @@ class _Searcher:
         self.nodes = 0
 
     def current_partition(self) -> Partition:
-        bundles: list[set[int]] = [set() for _ in range(self.n)]
-        for d, k in enumerate(self.assign):
-            bundles[k].add(self.order[d])
-        return Partition(tuple(frozenset(b) for b in bundles))
+        return Partition.from_labels(zip(self.order, self.assign), self.n)
 
     def leaves(self) -> Iterator[Partition]:
         """Every symEF1 leaf in DFS order; raises BudgetExceededError mid-walk."""
@@ -395,8 +392,9 @@ def max_nash_welfare(
     assignment = [0] * m
     totals = [0] * n
     totals[0] = sum(values[0])
-    best_key: tuple[int, int] | None = None
-    best_assignment: list[int] | None = None
+    # Every key is at least (0, 1), so the first leaf replaces this start.
+    best_key = (-1, 0)
+    best_assignment: list[int] = []
     leaves = 0
     while True:
         leaves += 1
@@ -407,7 +405,7 @@ def max_nash_welfare(
         served = sum(1 for t in totals if t > 0)
         product = math.prod(t for t in totals if t > 0)
         key = (served, product)
-        if best_key is None or key > best_key:
+        if key > best_key:
             best_key = key
             best_assignment = assignment.copy()
         j = m - 1
@@ -422,11 +420,7 @@ def max_nash_welfare(
         totals[a] -= values[a][j]
         totals[a + 1] += values[a + 1][j]
         assignment[j] = a + 1
-    assert best_assignment is not None
-    bundles = [set() for _ in range(n)]
-    for item, agent in enumerate(best_assignment):
-        bundles[agent].add(item)
-    partition = Partition(tuple(frozenset(b) for b in bundles))
+    partition = Partition.from_labels(enumerate(best_assignment), n)
     return Assignment(partition, tuple(range(n)))
 
 

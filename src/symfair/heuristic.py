@@ -8,11 +8,10 @@ escalating repairs are tried, committing the first that keeps the invariant:
   case 2  relocate one allocated item to another bundle, then insert;
   case 3  swap two allocated items across bundles, then insert.
 
-A pass over the pending items repeats while it makes progress, so an item
-rejected earlier is retried after the partition has changed. The procedure is
-incomplete: some reachable states admit no single-swap repair even though a
-symEF1 completion exists, and then the result reports failure rather than an
-answer.
+Pending items wait in one queue: a rejected item goes to the back, so it is
+retried once the partition has changed. The procedure is incomplete: some
+reachable states admit no single-swap repair even though a symEF1 completion
+exists, and then the result reports failure rather than an answer.
 
 Bundles, donor/recipient pairs, and swap candidates are scanned in ascending
 index order, so runs are reproducible for a fixed item order.
@@ -27,15 +26,16 @@ per bundle pair and state, and every candidate insert, relocation or swap is
 then scored in O(1) per agent without touching the table, stopping at the
 first agent it fails. Only the accepted move is applied: an insert costs
 O(n), and a removal rescans a bundle for one agent only when the removed item
-was one of that agent's two largest in it. An item that failed all three
-repairs is not retried until some other item has been placed, since the same
-state would reject it again.
+was one of that agent's two largest in it. The run stops after a full round
+of the queue places nothing: every pending item then failed all three repairs
+in the current state, which would reject it again.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -90,7 +90,7 @@ class _Table:
     """
 
     __slots__ = (
-        "rows", "n", "m", "bundles", "sums", "best", "second", "version", "_ext", "_pairs",
+        "rows", "n", "m", "bundles", "sums", "best", "second", "_ext", "_pairs",
     )
 
     def __init__(self, inst: Instance, bundles: Sequence[Iterable[int]]):
@@ -106,7 +106,6 @@ class _Table:
         for i in range(n):
             for k in range(n):
                 self._rescan(i, k)
-        self.version = 0
         self._ext: list[tuple] | None = None
         self._pairs: dict[tuple[int, int], list[tuple]] = {}
 
@@ -125,7 +124,7 @@ class _Table:
         self.second[i][k] = b2
 
     def to_partition(self) -> Partition:
-        return Partition(tuple(frozenset(b) for b in self.bundles))
+        return Partition.of(*self.bundles)
 
     # -- committing ---------------------------------------------------------
 
@@ -157,7 +156,6 @@ class _Table:
         for item, src, dst in moves:
             self._add(dst, item)
         self._add(k, j)
-        self.version += 1
         self._ext = None
         self._pairs.clear()
 
@@ -284,26 +282,23 @@ def extend_allocation(
         raise ValueError("starting bundles are not symEF1 over their items")
 
     stats = HeuristicStats()
-    rejected_at: dict[int, int] = {}  # item -> table version that rejected it
-    progress = True
-    while pending and progress:
-        progress = False
-        for j in list(pending):
-            if rejected_at.get(j) == table.version:
-                continue
-            if table.try_insert(j):
-                stats.placed_case1 += 1
-            elif table.try_relocate(j):
-                stats.placed_case2 += 1
-            elif table.try_swap(j):
-                stats.placed_case3 += 1
-            else:
-                rejected_at[j] = table.version
-                continue
-            pending.remove(j)
-            progress = True
+    queue = deque(pending)
+    misses = 0  # items rejected since the last placement
+    while misses < len(queue):
+        j = queue.popleft()
+        if table.try_insert(j):
+            stats.placed_case1 += 1
+        elif table.try_relocate(j):
+            stats.placed_case2 += 1
+        elif table.try_swap(j):
+            stats.placed_case3 += 1
+        else:
+            queue.append(j)
+            misses += 1
+            continue
+        misses = 0
 
-    return HeuristicResult(None if pending else table.to_partition(), stats)
+    return HeuristicResult(None if queue else table.to_partition(), stats)
 
 
 def greedy_symef1(inst: Instance, item_order: Sequence[int] | None = None) -> HeuristicResult:

@@ -191,44 +191,48 @@ def k_color(
 
 
 def coloring_to_partition(coloring: tuple[int, ...], n: int) -> Partition:
-    """Bundle l = color class l; colors beyond the used ones give empty bundles."""
-    if coloring and max(coloring) > n:
-        raise ValueError(f"coloring uses {max(coloring)} colors but only {n} bundles exist")
-    bundles = [set() for _ in range(n)]
-    for item, color in enumerate(coloring):
-        bundles[color - 1].add(item)
-    return Partition(tuple(frozenset(b) for b in bundles))
+    """Bundle l = color class l; colors beyond the used ones give empty bundles.
+
+    Colors are 1-based, so a color outside 1..n raises ValueError.
+    """
+    return Partition.from_labels(((item, c - 1) for item, c in enumerate(coloring)), n)
 
 
 def separates_tuples(partition: Partition, tuples_: IndexedTuples) -> bool:
-    """True iff no bundle holds two items from the same block of any agent."""
-    owner: dict[int, int] = {}
-    for k, bundle in enumerate(partition.bundles):
-        for j in bundle:
-            owner[j] = k
+    """True iff no bundle holds two items from the same block of any agent.
+
+    Raises ValueError when some block item is in no bundle.
+    """
+    owner = {j: k for k, bundle in enumerate(partition.bundles) for j in bundle}
     for blocks in tuples_:
         for block in blocks:
-            seen: set[int] = set()
-            for j in block:
-                k = owner[j]
-                if k in seen:
-                    return False
-                seen.add(k)
+            if not block <= owner.keys():
+                raise ValueError(f"items {sorted(block - owner.keys())} are in no bundle")
+            if len({owner[j] for j in block}) < len(block):
+                return False
     return True
 
 
 def count_lower_bound(g: ItemGraph, n: int) -> int | None:
-    """(n!)^(C-1) distinct symEF1 partitions once the graph is n-colorable.
+    """ceil(prod_i n!/(n - c_i)! / n!) distinct symEF1 partitions once the graph is n-colorable.
 
-    C is the component count. Returns None when no n-coloring exists (the
-    bound then says nothing), and raises :class:`BudgetExceededError` when
-    ``k_color`` runs out of its default budget first. Exact integer
-    arithmetic throughout.
+    c_i is the number of colors the found n-coloring uses on component i.
+    Mapping each component's c_i colors into the n colors by its own injection
+    keeps the coloring proper, hence separating and symEF1, and each unordered
+    partition comes from at most n! of these colorings. Returns None when no
+    n-coloring exists (the bound then says nothing), and raises
+    :class:`BudgetExceededError` when ``k_color`` runs out of its default
+    budget first. Exact integer arithmetic throughout.
     """
-    if k_color(g, n) is None:
+    coloring = k_color(g, n)
+    if coloring is None:
         return None
-    c, _ = components(g)
-    return math.factorial(n) ** max(c - 1, 0)
+    count, labels = components(g)
+    used: list[set[int]] = [set() for _ in range(count)]
+    for c, color in zip(labels, coloring):
+        used[c].add(color)
+    colorings = math.prod(math.perm(n, len(colors)) for colors in used)
+    return -(-colorings // math.factorial(n))
 
 
 def graph_to_dot(g: ItemGraph) -> str:

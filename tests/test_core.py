@@ -188,6 +188,17 @@ def test_partition_rejects_overlap():
         sf.Partition.of({0, 1}, {1, 2})
 
 
+def test_partition_from_labels():
+    p = sf.Partition.from_labels([(0, 1), (2, 1), (1, 0)], 3)
+    assert p == sf.Partition.of({1}, {0, 2}, set())
+    assert sf.Partition.from_labels([], 2) == sf.Partition.of(set(), set())
+    for label in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            sf.Partition.from_labels([(0, 0), (1, label)], 3)
+    with pytest.raises(ValueError, match="disjoint"):
+        sf.Partition.from_labels([(0, 0), (0, 1)], 2)
+
+
 def test_validate_partition_needs_full_cover():
     inst = sf.Instance.from_rows([[1, 2], [2, 1]])
     with pytest.raises(ValueError, match="bundles"):

@@ -153,13 +153,12 @@ def snapshot(table):
         [list(r) for r in table.sums],
         [list(r) for r in table.best],
         [list(r) for r in table.second],
-        table.version,
     )
 
 
 def consistent(inst, table):
     """The table's bundles (kept ascending), sums and top-two values equal a rebuild."""
-    return snapshot(table)[:4] == snapshot(_Table(inst, table.bundles))[:4]
+    return snapshot(table) == snapshot(_Table(inst, table.bundles))
 
 
 def partial_symef1(inst, bundles):

@@ -7,6 +7,7 @@ import pytest
 import symfair as sf
 from helpers import (
     clique_but_solvable,
+    distinct_row,
     lab,
     partition_of,
     rand_instance,
@@ -254,6 +255,13 @@ def test_coloring_to_partition_edgeless_single_color():
         sf.coloring_to_partition((1, 2, 3), 2)
 
 
+def test_coloring_to_partition_refuses_colors_below_one():
+    # Colors are 1-based; without a range check 0 and -1 index the last bundles.
+    for coloring in ((0, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            sf.coloring_to_partition(coloring, 2)
+
+
 def test_separation_examples():
     inst = clique_but_solvable()
     tuples_ = sf.indexed_tuples(inst)
@@ -266,6 +274,12 @@ def test_separation_examples():
         assert sf.separates_tuples(rr, (tuples_[i],))
 
 
+def test_separation_refuses_a_partition_missing_block_items():
+    tuples_ = sf.indexed_tuples(clique_but_solvable())
+    with pytest.raises(ValueError, match="no bundle"):
+        sf.separates_tuples(partition_of("af", "ce", "b"), tuples_)
+
+
 def test_count_lower_bound():
     ident = sf.Instance.from_rows([[90, 80, 70, 60, 50, 40, 30, 20, 10]] * 3)
     g = sf.build_item_graph(ident)
@@ -274,6 +288,20 @@ def test_count_lower_bound():
     small = sf.Instance.from_rows([[3, 2, 1]] * 3)
     assert sf.count_lower_bound(sf.build_item_graph(small), 3) == 1
     assert sf.count_lower_bound(sf.build_item_graph(clique_but_solvable()), 3) is None
+
+
+def test_count_lower_bound_counts_only_the_colors_a_component_uses():
+    # Blocks {a,b,c} and {d}: the lone item has 3 bundles to go to, not 3!
+    # colorings, so 3 partitions, which is exactly how many are symEF1.
+    inst = sf.Instance.from_rows([[4, 3, 2, 1]] * 3)
+    assert sf.count_lower_bound(sf.build_item_graph(inst), 3) == 3
+    assert len(sf.enumerate_symef1(inst)) == 3
+    rng = random.Random(12)
+    for n, m in [(2, 5), (2, 7), (3, 5), (3, 7), (3, 8), (4, 6), (4, 7)]:
+        inst = sf.Instance.from_rows([distinct_row(rng, m, 100)] * n)
+        bound = sf.count_lower_bound(sf.build_item_graph(inst), n)
+        assert bound is not None
+        assert bound <= len(sf.enumerate_symef1(inst))
 
 
 def test_count_lower_bound_uses_exact_arithmetic():
