@@ -10,9 +10,11 @@ __version__ = "0.1.0"
 from .constructive import GroupStructure, agent_round_robin, detect_groups, grouped_allocation
 from .core import (
     Assignment,
+    BudgetExceededError,
     Instance,
     ParseError,
     Partition,
+    SearchLimits,
     bundle_value,
     first_ef1_violation,
     first_symef1_violation,
@@ -30,10 +32,8 @@ from .core import (
     validate_partition,
 )
 from .exact import (
-    BudgetExceededError,
     ExactOutcome,
     ExactStatus,
-    SearchLimits,
     canonical_partition,
     enumerate_symef1,
     exact_symef1,

@@ -27,9 +27,11 @@ from typing import Iterator, Sequence
 from . import __version__
 from .constructive import detect_groups, grouped_allocation
 from .core import (
+    BudgetExceededError,
     Instance,
     ParseError,
     Partition,
+    SearchLimits,
     first_ef1_violation,
     first_symef1_violation,
     first_symefx_violation,
@@ -41,9 +43,7 @@ from .core import (
     parse_partition,
 )
 from .exact import (
-    BudgetExceededError,
     ExactStatus,
-    SearchLimits,
     check_enumeration_guard,
     enumerate_symef1,
     exact_symef1,
@@ -317,7 +317,11 @@ def _cmd_color(args) -> int:
     if coloring is None:
         print(f"INFEASIBLE k={args.k}")
         return EXIT_UNSAT
-    sys.stdout.write(format_partition(coloring_to_partition(coloring, args.k)))
+    # Bundles for the used colors only (one if m = 0), then blank lines in chunks.
+    used = max(coloring, default=1)
+    sys.stdout.write(format_partition(coloring_to_partition(coloring, used)))
+    for start in range(used, args.k, 65536):
+        sys.stdout.write("\n" * min(65536, args.k - start))
     return EXIT_OK
 
 

@@ -57,9 +57,11 @@ def grouped_allocation(inst: Instance, structure: GroupStructure) -> Partition:
     """Index-wise union of each group's round robin over its own support.
 
     Items no group values go to bundle 1; they change no inequality, and a
-    fixed rule keeps the output deterministic.
+    fixed rule keeps the output deterministic. Raises ValueError unless
+    ``structure`` is the (non-None) result of ``detect_groups(inst)``.
     """
-    _validate_structure(inst, structure)
+    if structure is None or structure != detect_groups(inst):
+        raise ValueError("structure is not detect_groups(inst)")
     n = inst.n
     # The support is the group's positive items, which lead its ranking.
     labels = [
@@ -70,21 +72,3 @@ def grouped_allocation(inst: Instance, structure: GroupStructure) -> Partition:
     unsupported = set(range(inst.m)).difference(*structure.supports)
     return Partition.from_labels(labels + [(j, 0) for j in unsupported], n)
 
-
-def _validate_structure(inst: Instance, structure: GroupStructure) -> None:
-    agents = [i for group in structure.groups for i in group]
-    if sorted(agents) != list(range(inst.n)):
-        raise ValueError("groups do not partition the agents")
-    if len(structure.supports) != len(structure.groups):
-        raise ValueError("each group needs exactly one support set")
-    claimed: set[int] = set()
-    for group, support in zip(structure.groups, structure.supports):
-        rows = {inst.values[i] for i in group}
-        if len(rows) != 1:
-            raise ValueError("agents within a group must have identical rows")
-        row = next(iter(rows))
-        if support != frozenset(j for j in range(inst.m) if row[j] > 0):
-            raise ValueError("support does not match the group's nonzero items")
-        if support & claimed:
-            raise ValueError("supports of distinct groups overlap")
-        claimed.update(support)

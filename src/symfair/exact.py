@@ -29,18 +29,18 @@ unordered partition is a leaf at most once. When the enumerated set equals
 the naive oracle's, no symEF1 partition was cut, so both walks accept the
 same leaves in the same order and return the same first witness.
 
-Cost model. A node scores all its children when it is expanded, from its own
-bundle sums and maxima, before any of them is placed. It holds, per agent, the
-deficit D_i = sum_k max(0, worst_i - v_i(A_k)) that its parent computed. A
-child that puts the item in bundle k and leaves worst_i where it is changes
-only bundle k's term, in O(1); one that raises worst_i to W rescans the n
-bundle values once (bundle k's own term is 0 before and after, as W is at most
-its old value). Agents are tested in order and a child is cut at the first one
-that fails. Only the surviving children are placed and later undone, and each
-passes its deficits down as its own D_i, so no node recomputes them. Nodes
-are counted as the walk reaches each child, a run of cut children in one
-step, so node counts and budget stops are those of a walk that places and
-tests every child in turn.
+Cost model. A node scores each child when the walk is back at the node, so
+from the node's own bundle sums and maxima. It holds, per agent, the deficit
+D_i = sum_k max(0, worst_i - v_i(A_k)) that its parent computed. A child that
+puts the item in bundle k and leaves worst_i where it is changes only bundle
+k's term, in O(1); one that raises worst_i to W rescans the n bundle values
+once (bundle k's own term is 0 before and after, as W is at most its old
+value). Agents are tested in order and a child is cut at the first one that
+fails. Only the surviving children are placed and later undone, and each
+passes its deficits down as its own D_i, so no node recomputes them. Nodes are
+counted as the walk reaches each child, a run of cut children in one step, so
+node counts and budget stops are those of a walk that places and tests every
+child in turn.
 """
 
 from __future__ import annotations
@@ -140,23 +140,22 @@ class _Searcher:
         saved_max = [[0] * n for _ in range(m)]
         saved_worst = [[0] * n for _ in range(m)]
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
-        # plans[d]: the surviving children of the node at depth d, in order, as
-        # (how many of its children the walk has reached at this one, bundle,
-        # the child's per-agent deficits), closed by (child count, -1, None).
-        # reached[d] is how many of those children are counted in nodes.
-        plans: list[list] = [[] for _ in range(m)]
-        at = [0] * m
-        reached = [0] * m
+        # plans[d] yields the surviving children of the node at depth d, in order,
+        # as (children the walk reaches from the previous survivor up to this one,
+        # bundle, the child's per-agent deficits), closed by (children after the
+        # last survivor, -1, None).
+        plans: list = [None] * m
 
-        def score(d: int, kids: list[int], base: list[int]) -> list:
-            """Cut the node's children that fail a test; keep the rest in order.
+        def score(d: int, kids: list[int], base: list[int]) -> Iterator:
+            """Cut the node's children that fail a test; yield the rest in order.
 
             ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)).
             """
-            plan: list = []
             col = cols[d]
             rem = remaining[d + 1]
-            for c, k in enumerate(kids, 1):
+            step = 0
+            for k in kids:
+                step += 1
                 deficits = []
                 for i in agents:
                     srow = sums[i]
@@ -193,9 +192,9 @@ class _Searcher:
                                 break
                     deficits.append(deficit)
                 else:
-                    plan.append((c, k, deficits))
-            plan.append((len(kids), -1, None))
-            return plan
+                    yield step, k, deficits
+                    step = 0
+            yield step, -1, None
 
         def stop(before: int, after: int) -> None:
             # Children before+1..after were counted in one step. Stop where a
@@ -213,15 +212,11 @@ class _Searcher:
         nodes = 0
         d = 0
         while True:
-            p = at[d]
-            at[d] = p + 1
-            count, k, deficits = plans[d][p]
-            step = count - reached[d]
-            if step:
-                reached[d] = count
-                nodes += step
-                if nodes > node_budget or (nodes & 4095) < step:
-                    stop(nodes - step, nodes)
+            step, k, deficits = next(plans[d])
+            # A zero step can cross neither the node budget nor a multiple of 4096.
+            nodes += step
+            if nodes > node_budget or (nodes & 4095) < step:
+                stop(nodes - step, nodes)
             if k < 0:
                 if d == 0:
                     self.nodes = nodes
@@ -265,8 +260,6 @@ class _Searcher:
             # first empty bundle may open, so each unordered partition shows once.
             kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
             plans[d] = score(d, kids, deficits)
-            at[d] = 0
-            reached[d] = 0
 
 
 def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOutcome:

@@ -10,6 +10,7 @@ depend on worker count or execution order.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -19,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Instance
-from .exact import ExactStatus, SearchLimits, exact_symef1
+from .core import Instance, SearchLimits
+from .exact import ExactStatus, exact_symef1
 from .heuristic import greedy_symef1
 
 # numpy draws the entries as int64, so M can be at most the int64 maximum.
@@ -117,18 +118,16 @@ def run_simulation(
     Replications run in parallel blocks; the counters are integer sums, so the
     aggregate is identical for any worker count or block split. ``workers``
     defaults to the CPU count; a value below 1 raises ValueError. No more
-    processes start than there are replications. Each cell's summary, and a
-    warning for a cell with budget-exceeded replications, go to ``progress``.
+    processes start than there are CPUs or replications. Each cell's summary,
+    and a warning for a cell with budget-exceeded replications, go to ``progress``.
     """
-    if workers is None:
-        import os
-
-        workers = os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     reports = []
-    # A block holds at least one replication, so more workers would sit idle.
-    workers = min(workers, cfg.replications)
+    # The pool forks all its workers at once; past the CPUs or replications they only wait.
+    workers = min(workers, cpus, cfg.replications)
     # One pool serves every cell, so its start-up is paid once per run.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):

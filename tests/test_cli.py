@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -294,6 +295,46 @@ def test_color_reports_infeasible_and_classes(files, capsys):
     assert len(lines) == 5
     seen = sorted(int(tok) for line in lines for tok in line.split())
     assert seen == [1, 2, 3, 4, 5, 6]
+
+
+def test_color_output_is_every_class_for_any_k(files, capsys):
+    # k lines: the used colors' bundles, then one empty line per unused color.
+    for text in ("1 3\n1 2 3\n", "2 0\n", CLIQUE, BLOCKER):
+        path = files("inst.txt", text)
+        graph = sf.build_item_graph(sf.parse_instance(text))
+        for k in (1, 2, 3, 4, 5, 9):
+            coloring = sf.k_color(graph, k)
+            if coloring is None:
+                continue
+            assert main(["color", path, f"--k={k}"]) == 0
+            want = sf.format_partition(sf.coloring_to_partition(coloring, k))
+            assert capsys.readouterr().out == want, (text, k)
+        # At k >= m the coloring no longer depends on k; the empty lines go
+        # out 65536 at a time, so test either side of a chunk.
+        for k in (65536, 65537, 65539, 65540, 131075):
+            assert main(["color", path, f"--k={k}"]) == 0
+            assert capsys.readouterr().out == want + "\n" * (k - 9), (text, k)
+
+
+def test_color_memory_does_not_grow_with_k(files, monkeypatch):
+    path = files("inst.txt", "1 3\n1 2 3\n")
+
+    class LineCounter:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+    sink = LineCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["color", path, "--k=1000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 10**6
+    assert peak < 16 * 2**20
 
 
 def test_enumerate_lists_partitions(files, capsys):

@@ -193,3 +193,17 @@ def test_grouped_allocation_validates_structure():
     bad = sf.GroupStructure(groups=((0, 1),), supports=(frozenset({0, 1}),))
     with pytest.raises(ValueError):
         sf.grouped_allocation(inst, bad)
+
+
+def test_grouped_allocation_takes_only_the_detected_structure():
+    # Reversed groups are a valid grouping with the same partition, but only
+    # detect_groups(inst) itself is accepted; None never is.
+    inst = sf.Instance.from_rows([[5, 3, 0, 0], [0, 0, 4, 2], [5, 3, 0, 0]])
+    gs = sf.detect_groups(inst)
+    assert gs.groups == ((0, 2), (1,))
+    reversed_groups = sf.GroupStructure(gs.groups[::-1], gs.supports[::-1])
+    with pytest.raises(ValueError):
+        sf.grouped_allocation(inst, reversed_groups)
+    assert sf.is_symef1(inst, sf.grouped_allocation(inst, gs))
+    with pytest.raises(ValueError):
+        sf.grouped_allocation(sf.Instance.from_rows([[1, 2], [2, 1]]), None)

@@ -1,4 +1,5 @@
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -154,6 +155,8 @@ def test_config_validation():
 
 
 def test_one_pool_serves_every_cell(monkeypatch):
+    # The pool is capped at the CPU count; pin it so two workers start anywhere.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     opened = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -172,7 +175,9 @@ def test_one_pool_serves_every_cell(monkeypatch):
     assert [stats(r) for r in serial] == [stats(r) for r in parallel]
 
 
-def test_pool_has_no_more_workers_than_replications(monkeypatch):
+@pytest.fixture
+def opened(monkeypatch):
+    """max_workers of every pool run_simulation opens; the pools run in-process."""
     opened = []
 
     class SerialPool:
@@ -189,16 +194,41 @@ def test_pool_has_no_more_workers_than_replications(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr("symfair.sim.ProcessPoolExecutor", SerialPool)
-    stats = lambda r: (r.pct_symef1, r.pct_case1, r.pct_case2, r.pct_case3,
-                       r.pct_exact_fallback, r.excluded)
+    return opened
+
+
+def _pool_stats(r):
+    return (r.pct_symef1, r.pct_case1, r.pct_case2, r.pct_case3,
+            r.pct_exact_fallback, r.excluded)
+
+
+def test_pool_has_no_more_workers_than_replications(opened, monkeypatch):
+    # Pin the CPU count above the replications, so the replication cap shows.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = SimConfig(n_list=(3,), m_list=(5,), M_list=(10,), replications=3, master_seed=3)
     (pooled,) = run_simulation(cfg, workers=64)
     assert opened == [3]
     (serial,) = run_simulation(cfg, workers=1)
-    assert stats(pooled) == stats(serial)
+    assert _pool_stats(pooled) == _pool_stats(serial)
     single = SimConfig(n_list=(3,), m_list=(5,), M_list=(10,), replications=1, master_seed=3)
     run_simulation(single, workers=64)
     assert opened == [3]
+
+
+def test_pool_has_no_more_workers_than_cpus(opened, monkeypatch):
+    cfg = SimConfig(n_list=(3,), m_list=(5,), M_list=(10,), replications=40, master_seed=3)
+    (serial,) = run_simulation(cfg, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    (capped,) = run_simulation(cfg, workers=2000)
+    assert opened == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    (default,) = run_simulation(cfg)
+    assert opened == [2, 3]
+    # An unknown CPU count means one: no pool at all.
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    (unknown,) = run_simulation(cfg, workers=2000)
+    assert opened == [2, 3]
+    assert _pool_stats(capped) == _pool_stats(default) == _pool_stats(unknown) == _pool_stats(serial)
 
 
 def test_exclusion_warning_goes_to_progress_only(capsys):
