@@ -23,7 +23,7 @@ import time
 from collections import Counter
 
 from symfair import Instance, SearchLimits
-from symfair.cli import AUTO_STAGES, _solve_stage
+from symfair.cli import AUTO_STAGES, _bind_engines, _solve_stage
 
 REPS = 3  # instances per row
 M_PER_N = (3, 50)  # the small and the large m, as multiples of n
@@ -68,6 +68,7 @@ def under(order, stages) -> tuple[str, float]:
 
 
 def main() -> None:
+    _bind_engines()  # import the engines now, so no stage's time includes it
     columns = ["rows", "n", "m", "decided by (old / new / exact first)",
                *(SHORT[s] for s in AUTO_STAGES), *ORDERS]
     print("| " + " | ".join(columns) + " |")

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from . import __version__
-from .constructive import detect_groups, grouped_allocation
 from .core import (
     BudgetExceededError,
     Instance,
@@ -42,22 +42,48 @@ from .core import (
     parse_instance,
     parse_partition,
 )
-from .exact import (
-    ExactStatus,
-    check_enumeration_guard,
-    enumerate_symef1,
-    exact_symef1,
-    export_ip,
-    max_nash_welfare,
-)
-from .heuristic import greedy_symef1, order_items
-from .tuples import build_item_graph, coloring_to_partition, graph_to_dot, k_color
+
+# The search engines' names, bound into this module on first use rather than
+# imported above, so that ``check`` starts without loading the engines.
+_ENGINES = {
+    "constructive": ("detect_groups", "grouped_allocation"),
+    "exact": (
+        "ExactStatus",
+        "check_enumeration_guard",
+        "enumerate_symef1",
+        "exact_symef1",
+        "export_ip",
+        "max_nash_welfare",
+    ),
+    "heuristic": ("greedy_symef1", "order_items"),
+    "tuples": ("build_item_graph", "coloring_to_partition", "graph_to_dot", "k_color"),
+}
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+
+def _bind_engines() -> None:
+    """Bind every engine name of ``_ENGINES`` here, keeping a name already set.
+
+    A name that is already present, such as a test's or a tracer's patch, is
+    never overwritten.
+    """
+    names = globals()
+    for module, attrs in _ENGINES.items():
+        for attr in attrs:
+            if attr not in names:
+                names[attr] = getattr(importlib.import_module(f".{module}", __package__), attr)
+
+
+def __getattr__(name: str):
+    if any(name in attrs for attrs in _ENGINES.values()):
+        _bind_engines()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -236,6 +262,7 @@ def _solve_stage(
     inst: Instance, stage: str, limits: SearchLimits, order: Sequence[int]
 ) -> tuple[Partition | None, str]:
     """One stage attempt: (partition, status token). ``order`` is the greedy item order."""
+    _bind_engines()
     if stage == "constructive":
         structure = detect_groups(inst)
         if structure is None:
@@ -274,6 +301,7 @@ AUTO_STAGES = ("constructive", "heuristic", "coloring", "exact")
 
 
 def _cmd_solve(args) -> int:
+    _bind_engines()
     inst = _read_instance(args.instance)
     limits = _limits(args)
     order = order_items(inst, args.order, args.seed)
@@ -303,12 +331,14 @@ def _verify(inst: Instance, partition: Partition, stage: str) -> None:
 
 
 def _cmd_graph(args) -> int:
+    _bind_engines()
     inst = _read_instance(args.instance)
     _write_out(args.out, graph_to_dot(build_item_graph(inst)))
     return EXIT_OK
 
 
 def _cmd_color(args) -> int:
+    _bind_engines()
     if args.k < 1:
         raise ParseError("--k must be at least 1")
     limits = _limits(args)
@@ -326,6 +356,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _bind_engines()
     inst = _read_instance(args.instance)
     with _input_error():
         check_enumeration_guard(inst, args.force)
@@ -338,6 +369,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mnw(args) -> int:
+    _bind_engines()
     inst = _read_instance(args.instance)
     with _input_error():
         check_enumeration_guard(inst, args.force)
@@ -348,6 +380,7 @@ def _cmd_mnw(args) -> int:
 
 
 def _cmd_export_ip(args) -> int:
+    _bind_engines()
     inst = _read_instance(args.instance)
     _write_out(args.out, export_ip(inst))
     return EXIT_OK

@@ -8,18 +8,20 @@ identical rows and pairwise disjoint supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Instance, Partition
+from .core import Instance, Partition, _Record, _set
 from .tuples import ranking
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(_Record):
     """Agents grouped by identical value rows, with each group's nonzero items."""
 
-    groups: tuple[tuple[int, ...], ...]
-    supports: tuple[frozenset[int], ...]
+    __slots__ = ("groups", "supports")
+
+    def __init__(
+        self, groups: tuple[tuple[int, ...], ...], supports: tuple[frozenset[int], ...]
+    ) -> None:
+        _set(self, "groups", groups)
+        _set(self, "supports", supports)
 
 
 def agent_round_robin(inst: Instance, i: int) -> Partition:

@@ -12,7 +12,6 @@ Items and agents are 0-based in code. The text file formats are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -25,44 +24,88 @@ class BudgetExceededError(RuntimeError):
     """Search stopped by the node or time budget before finishing."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's record classes: a ``__slots__`` class whose slots
+    are its fields, in constructor order.
+
+    It behaves as a frozen ``dataclasses.dataclass`` would: equality compares
+    the field values of two records of one class (``NotImplemented`` across
+    classes), the hash is the hash of those values, ``repr`` is
+    ``Name(field=value, ...)``, and assigning or deleting a field raises
+    ``AttributeError``. ``__reduce__`` rebuilds a record through its
+    constructor, so pickle and copy work and re-run its checks. The records sit
+    on the CLI's start-up path, where importing ``dataclasses`` (and with it
+    ``inspect``) would cost more than a small ``check`` does.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class SearchLimits(_Record):
     """Node and time budget of one call to a backtracking search.
 
     The exact search, enumeration, the MNW oracle and ``k_color`` each count
     their own nodes and raise :class:`BudgetExceededError` when either runs out.
     """
 
-    node_budget: int = 10_000_000
-    time_budget: float = 10.0
+    __slots__ = ("node_budget", "time_budget")
 
-    def __post_init__(self) -> None:
+    def __init__(self, node_budget: int = 10_000_000, time_budget: float = 10.0) -> None:
         # "not > 0" also refuses a NaN time budget, which compares false.
-        if self.node_budget < 1 or not self.time_budget > 0:
+        if node_budget < 1 or not time_budget > 0:
             raise ValueError("budgets must be positive")
+        _set(self, "node_budget", node_budget)
+        _set(self, "time_budget", time_budget)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """n agents, m items, and an n x m matrix of nonnegative integer values."""
 
-    n: int
-    m: int
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "m", "values")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, m: int, values: tuple[tuple[int, ...], ...]) -> None:
+        if n < 1:
             raise ValueError("an instance needs at least one agent")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("item count cannot be negative")
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} value rows, got {len(self.values)}")
-        for row in self.values:
-            if len(row) != self.m:
-                raise ValueError(f"expected {self.m} columns, got {len(row)}")
+        if len(values) != n:
+            raise ValueError(f"expected {n} value rows, got {len(values)}")
+        for row in values:
+            if len(row) != m:
+                raise ValueError(f"expected {m} columns, got {len(row)}")
             for v in row:
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                     raise ValueError(f"values must be nonnegative integers, got {v!r}")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "values", values)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Instance":
@@ -75,20 +118,19 @@ class Instance:
         return sum(self.values[i])
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """n disjoint bundles of item indices. Empty bundles are allowed.
 
     Bundle order is significant for equality; use ``exact.canonical_partition``
     when partitions should compare as unordered families.
     """
 
-    bundles: tuple[frozenset[int], ...]
+    __slots__ = ("bundles",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bundles: tuple[frozenset[int], ...]) -> None:
         seen: set[int] = set()
         total = 0
-        for b in self.bundles:
+        for b in bundles:
             for j in b:
                 if isinstance(j, bool) or not isinstance(j, int) or j < 0:
                     raise ValueError(f"item indices must be nonnegative integers, got {j!r}")
@@ -96,6 +138,7 @@ class Partition:
             seen.update(b)
         if len(seen) != total:
             raise ValueError("bundles are not pairwise disjoint")
+        _set(self, "bundles", bundles)
 
     @classmethod
     def of(cls, *bundles: Iterable[int]) -> "Partition":
@@ -119,17 +162,17 @@ class Partition:
         return tuple(len(b) for b in self.bundles)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Record):
     """A partition plus an owner for each bundle: ``owner[k]`` is an agent index."""
 
-    partition: Partition
-    owner: tuple[int, ...]
+    __slots__ = ("partition", "owner")
 
-    def __post_init__(self) -> None:
-        n = len(self.partition.bundles)
-        if sorted(self.owner) != list(range(n)):
+    def __init__(self, partition: Partition, owner: tuple[int, ...]) -> None:
+        n = len(partition.bundles)
+        if sorted(owner) != list(range(n)):
             raise ValueError("owner must be a permutation of the bundle indices")
+        _set(self, "partition", partition)
+        _set(self, "owner", owner)
 
 
 def bundle_value(inst: Instance, i: int, items: Iterable[int]) -> int:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -57,6 +56,8 @@ from .core import (
     Instance,
     Partition,
     SearchLimits,
+    _Record,
+    _set,
     is_symef1,
 )
 from .heuristic import order_items
@@ -69,11 +70,13 @@ class ExactStatus(Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class ExactOutcome:
-    status: ExactStatus
-    partition: Partition | None
-    nodes: int
+class ExactOutcome(_Record):
+    __slots__ = ("status", "partition", "nodes")
+
+    def __init__(self, status: ExactStatus, partition: Partition | None, nodes: int) -> None:
+        _set(self, "status", status)
+        _set(self, "partition", partition)
+        _set(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:

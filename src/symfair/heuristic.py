@@ -36,31 +36,40 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .core import Instance, Partition, _first_violation
+from .core import Instance, Partition, _first_violation, _Record, _set
 
 _INF = float("inf")
 
 
-@dataclass
-class HeuristicStats:
+class HeuristicStats(_Record):
     """How many items each repair placed; ``HeuristicResult.found`` says whether all were."""
 
-    placed_case1: int = 0
-    placed_case2: int = 0
-    placed_case3: int = 0
+    __slots__ = ("placed_case1", "placed_case2", "placed_case3")
+    # Counters the builder updates in place: assignable, hence unhashable.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, placed_case1: int = 0, placed_case2: int = 0, placed_case3: int = 0
+    ) -> None:
+        self.placed_case1 = placed_case1
+        self.placed_case2 = placed_case2
+        self.placed_case3 = placed_case3
 
     def placed_total(self) -> int:
         return self.placed_case1 + self.placed_case2 + self.placed_case3
 
 
-@dataclass(frozen=True)
-class HeuristicResult:
-    partition: Partition | None
-    stats: HeuristicStats
+class HeuristicResult(_Record):
+    __slots__ = ("partition", "stats")
+
+    def __init__(self, partition: Partition | None, stats: HeuristicStats) -> None:
+        _set(self, "partition", partition)
+        _set(self, "stats", stats)
 
     @property
     def found(self) -> bool:

@@ -13,28 +13,27 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .core import BudgetExceededError, Instance, Partition, SearchLimits
+from .core import BudgetExceededError, Instance, Partition, SearchLimits, _Record, _set
 
 Ranking = tuple[int, ...]
 IndexedTuples = tuple[tuple[frozenset[int], ...], ...]
 
 
-@dataclass(frozen=True)
-class ItemGraph:
+class ItemGraph(_Record):
     """Simple undirected graph on the m items; edges are same-block conflicts."""
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("num_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not 0 <= u < v < self.num_vertices:
-                raise ValueError(f"bad edge ({u}, {v}) for {self.num_vertices} vertices")
-        if len(set(self.edges)) != len(self.edges):
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, int], ...]) -> None:
+        for u, v in edges:
+            if not 0 <= u < v < num_vertices:
+                raise ValueError(f"bad edge ({u}, {v}) for {num_vertices} vertices")
+        if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges")
+        _set(self, "num_vertices", num_vertices)
+        _set(self, "edges", edges)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.num_vertices)]

@@ -458,6 +458,7 @@ def _subprocess_env():
 def test_import_leaves_numpy_unloaded():
     script = (
         "import sys, symfair, symfair.cli\n"
+        "assert symfair.exact.exact_symef1 is symfair.exact_symef1\n"
         "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
         "assert symfair.random_instance is symfair.sim.random_instance\n"
         "assert symfair.SimConfig.__name__ == 'SimConfig'\n"
@@ -470,8 +471,72 @@ def test_import_leaves_numpy_unloaded():
     assert result.returncode == 0, result.stderr
     assert set(sf.__all__) >= {"SimConfig", "SimReport", "emit_csv", "random_instance",
                                "replication_seed", "run_simulation"}
+
+
+def test_package_serves_every_public_name():
+    namespace = {}
+    exec("from symfair import *", namespace)
+    for name in sf.__all__:
+        assert namespace[name] is getattr(sf, name)
+        assert name in dir(sf)
     with pytest.raises(AttributeError):
         sf.no_such_name
+
+
+def _added_modules(code):
+    """Modules that ``code`` loads in a fresh interpreter beyond those of a bare one.
+
+    The baseline is measured rather than written down, because ``site`` loads
+    different stdlib modules on different hosts.
+    """
+
+    def loaded(source):
+        result = subprocess.run(
+            [sys.executable, "-c", source + "\nimport sys\nprint(*sys.modules)\n"],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.splitlines()[-1].split())
+
+    return loaded(code) - loaded("")
+
+
+def test_check_loads_no_engine_and_no_command_loads_dataclasses(files):
+    inst = files("inst.txt", CLIQUE)
+    part = files("part.txt", "1 6\n3 5\n2 4\n")
+    run = "from symfair.cli import main\nassert main({!r}) == 0"
+    check = _added_modules(run.format(["check", inst, part]))
+    assert "symfair.core" in check
+    assert not check & {"symfair.exact", "symfair.heuristic", "symfair.tuples",
+                        "symfair.constructive", "symfair.sim", "dataclasses", "inspect", "numpy"}
+    solve = _added_modules(run.format(["solve", inst]))
+    assert "symfair.exact" in solve
+    assert not solve & {"dataclasses", "inspect", "numpy", "symfair.sim"}
+
+
+def test_engine_bind_keeps_a_patched_name(files):
+    # perfbench's tracer and the tests patch engine names in symfair.cli before
+    # any command has bound them; the bind must not put the originals back.
+    inst = files("inst.txt", CLIQUE)
+    script = (
+        "import symfair.cli as c\n"
+        "def boom(*args):\n"
+        "    raise RuntimeError('patched k_color')\n"
+        "c.k_color = boom\n"
+        f"assert c.main(['solve', {inst!r}, '--strategy=coloring']) == 4\n"
+        "assert c.k_color is boom\n"
+        "from perfbench.tracing import TRACE_POINTS\n"
+        "for _, module, attr, _ in TRACE_POINTS:\n"
+        "    if module == 'symfair.cli':\n"
+        "        getattr(c, attr)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(), cwd=root, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "internal error: RuntimeError: patched k_color\n"
 
 
 def test_solve_unverified_partition_exits_4(files, capsys, monkeypatch):
