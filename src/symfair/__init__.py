@@ -9,7 +9,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Every public name, and the submodule that defines it. A name, or a submodule
+# Every public name, and the submodule that defines it; ``cli`` binds its engine
+# names from here too, so this is the one such table. A name, or a submodule
 # as an attribute of the package, is imported on first access, so
 # ``symfair.cli check`` loads only ``core``, and nothing loads ``sim`` (which
 # needs numpy, slower to import than the rest of the package together) until
@@ -25,9 +26,9 @@ _HOME = {
                   "is_balanced", "is_ef1_satisfied", "is_symef1", "is_symefx",
                   "items_distinct", "max_item_value", "nash_welfare", "parse_instance",
                   "parse_partition", "validate_partition")),
-        ("exact", ("ExactOutcome", "ExactStatus", "canonical_partition", "enumerate_symef1",
-                   "exact_symef1", "export_ip", "max_nash_welfare",
-                   "naive_enumerate_symef1")),
+        ("exact", ("ExactOutcome", "ExactStatus", "canonical_partition",
+                   "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
+                   "max_nash_welfare", "naive_enumerate_symef1")),
         ("heuristic", ("HeuristicResult", "HeuristicStats", "extend_allocation",
                        "greedy_symef1", "order_items")),
         ("sim", ("SimConfig", "SimReport", "emit_csv", "random_instance", "replication_seed",

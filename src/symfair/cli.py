@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterator, Sequence, TextIO
 
 from . import __version__
 from .core import (
@@ -43,21 +42,15 @@ from .core import (
     parse_partition,
 )
 
-# The search engines' names, bound into this module on first use rather than
-# imported above, so that ``check`` starts without loading the engines.
-_ENGINES = {
-    "constructive": ("detect_groups", "grouped_allocation"),
-    "exact": (
-        "ExactStatus",
-        "check_enumeration_guard",
-        "enumerate_symef1",
-        "exact_symef1",
-        "export_ip",
-        "max_nash_welfare",
-    ),
-    "heuristic": ("greedy_symef1", "order_items"),
-    "tuples": ("build_item_graph", "coloring_to_partition", "graph_to_dot", "k_color"),
-}
+# The search engines' names, bound into this module from the package rather
+# than imported above, so that ``check`` starts without loading the engines.
+_ENGINES = (
+    "detect_groups", "grouped_allocation",
+    "ExactStatus", "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
+    "max_nash_welfare",
+    "greedy_symef1", "order_items",
+    "build_item_graph", "coloring_to_partition", "graph_to_dot", "k_color",
+)
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -67,20 +60,20 @@ EXIT_INTERNAL = 4
 
 
 def _bind_engines() -> None:
-    """Bind every engine name of ``_ENGINES`` here, keeping a name already set.
+    """Bind every name of ``_ENGINES`` here from the package, keeping a name already set.
 
-    A name that is already present, such as a test's or a tracer's patch, is
-    never overwritten.
+    ``main`` calls it once for every command but ``check``. A name that is
+    already present, such as a test's or a tracer's patch, is never overwritten.
     """
+    package = sys.modules[__package__]
     names = globals()
-    for module, attrs in _ENGINES.items():
-        for attr in attrs:
-            if attr not in names:
-                names[attr] = getattr(importlib.import_module(f".{module}", __package__), attr)
+    for name in _ENGINES:
+        if name not in names:
+            names[name] = getattr(package, name)
 
 
 def __getattr__(name: str):
-    if any(name in attrs for attrs in _ENGINES.values()):
+    if name in _ENGINES:
         _bind_engines()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -90,6 +83,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "check":
+            _bind_engines()
         return args.handler(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -226,12 +221,14 @@ def _read_partition(path: str, inst: Instance) -> Partition:
     return parse_partition(_read_text(path), n=inst.n, m=inst.m)
 
 
+def _open_out(path: str) -> ContextManager[TextIO]:
+    """The ``--out`` target, opened now: stdout for ``-``, else the file, truncated."""
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
 def _write_out(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _cmd_check(args) -> int:
@@ -261,8 +258,10 @@ def _cmd_check(args) -> int:
 def _solve_stage(
     inst: Instance, stage: str, limits: SearchLimits, order: Sequence[int]
 ) -> tuple[Partition | None, str]:
-    """One stage attempt: (partition, status token). ``order`` is the greedy item order."""
-    _bind_engines()
+    """One stage attempt: (partition, status token). ``order`` is the greedy item order.
+
+    Callers bind the engine names first, through ``main`` or ``_bind_engines``.
+    """
     if stage == "constructive":
         structure = detect_groups(inst)
         if structure is None:
@@ -301,7 +300,6 @@ AUTO_STAGES = ("constructive", "heuristic", "coloring", "exact")
 
 
 def _cmd_solve(args) -> int:
-    _bind_engines()
     inst = _read_instance(args.instance)
     limits = _limits(args)
     order = order_items(inst, args.order, args.seed)
@@ -331,14 +329,12 @@ def _verify(inst: Instance, partition: Partition, stage: str) -> None:
 
 
 def _cmd_graph(args) -> int:
-    _bind_engines()
     inst = _read_instance(args.instance)
     _write_out(args.out, graph_to_dot(build_item_graph(inst)))
     return EXIT_OK
 
 
 def _cmd_color(args) -> int:
-    _bind_engines()
     if args.k < 1:
         raise ParseError("--k must be at least 1")
     limits = _limits(args)
@@ -356,7 +352,6 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _bind_engines()
     inst = _read_instance(args.instance)
     with _input_error():
         check_enumeration_guard(inst, args.force)
@@ -369,7 +364,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mnw(args) -> int:
-    _bind_engines()
     inst = _read_instance(args.instance)
     with _input_error():
         check_enumeration_guard(inst, args.force)
@@ -380,7 +374,6 @@ def _cmd_mnw(args) -> int:
 
 
 def _cmd_export_ip(args) -> int:
-    _bind_engines()
     inst = _read_instance(args.instance)
     _write_out(args.out, export_ip(inst))
     return EXIT_OK
@@ -400,10 +393,12 @@ def _cmd_simulate(args) -> int:
             master_seed=args.seed,
             limits=_limits(args),
         )
-    reports = run_simulation(
-        cfg, workers=args.workers, progress=lambda msg: print(msg, file=sys.stderr)
-    )
-    _write_out(args.out, emit_csv(reports))
+    # Open --out before the first cell, so a bad path exits 2 before a long run.
+    with _open_out(args.out) as fh:
+        reports = run_simulation(
+            cfg, workers=args.workers, progress=lambda msg: print(msg, file=sys.stderr)
+        )
+        fh.write(emit_csv(reports))
     return EXIT_OK
 
 

@@ -48,17 +48,13 @@ class HeuristicStats(_Record):
     """How many items each repair placed; ``HeuristicResult.found`` says whether all were."""
 
     __slots__ = ("placed_case1", "placed_case2", "placed_case3")
-    # Counters the builder updates in place: assignable, hence unhashable.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self, placed_case1: int = 0, placed_case2: int = 0, placed_case3: int = 0
     ) -> None:
-        self.placed_case1 = placed_case1
-        self.placed_case2 = placed_case2
-        self.placed_case3 = placed_case3
+        _set(self, "placed_case1", placed_case1)
+        _set(self, "placed_case2", placed_case2)
+        _set(self, "placed_case3", placed_case3)
 
     def placed_total(self) -> int:
         return self.placed_case1 + self.placed_case2 + self.placed_case3
@@ -290,34 +286,35 @@ def extend_allocation(
     if any(bundles) and _first_violation(inst.values, table.bundles, max, pairs) is not None:
         raise ValueError("starting bundles are not symEF1 over their items")
 
-    stats = HeuristicStats()
+    case1 = case2 = case3 = 0
     queue = deque(pending)
     misses = 0  # items rejected since the last placement
     while misses < len(queue):
         j = queue.popleft()
         if table.try_insert(j):
-            stats.placed_case1 += 1
+            case1 += 1
         elif table.try_relocate(j):
-            stats.placed_case2 += 1
+            case2 += 1
         elif table.try_swap(j):
-            stats.placed_case3 += 1
+            case3 += 1
         else:
             queue.append(j)
             misses += 1
             continue
         misses = 0
 
+    stats = HeuristicStats(case1, case2, case3)
     return HeuristicResult(None if queue else table.to_partition(), stats)
 
 
 def greedy_symef1(inst: Instance, item_order: Sequence[int] | None = None) -> HeuristicResult:
-    """Build a symEF1 partition greedily from scratch, or report failure."""
-    if item_order is None:
-        item_order = range(inst.m)
-    if sorted(item_order) != list(range(inst.m)):
-        raise ValueError("item_order must be a permutation of the items")
-    empty = [frozenset() for _ in range(inst.n)]
-    return extend_allocation(inst, empty, list(item_order))
+    """Build a symEF1 partition greedily from scratch, or report failure.
+
+    ``item_order`` (by index when None) must be a permutation of the items;
+    ``extend_allocation`` raises ValueError otherwise.
+    """
+    order = range(inst.m) if item_order is None else item_order
+    return extend_allocation(inst, [()] * inst.n, order)
 
 
 def order_items(inst: Instance, mode: str = "index", seed: int | None = None) -> tuple[int, ...]:

@@ -84,10 +84,14 @@ def random_instance(n: int, m: int, M: int, seed) -> Instance:
     return Instance.from_rows(matrix.tolist())
 
 
-def _run_block(args) -> tuple[int, int, int, int, int, int, int]:
-    """Replications [r_lo, r_hi) of one cell; returns summed counters only."""
+def _run_block(args) -> tuple[int, int, int, int, int, int]:
+    """Replications [r_lo, r_hi) of one cell; returns summed counters only.
+
+    ``successes`` counts the greedy builder's; every other replication fell
+    back to the complete search.
+    """
     n, m, M, master_seed, r_lo, r_hi, limits = args
-    found = fallback = excluded = successes = 0
+    found = excluded = successes = 0
     case1 = case2 = case3 = 0
     for r in range(r_lo, r_hi):
         inst = random_instance(n, m, M, replication_seed(master_seed, n, m, M, r))
@@ -99,13 +103,12 @@ def _run_block(args) -> tuple[int, int, int, int, int, int, int]:
             case2 += result.stats.placed_case2
             case3 += result.stats.placed_case3
         else:
-            fallback += 1
             outcome = exact_symef1(inst, limits)
             if outcome.status is ExactStatus.FOUND:
                 found += 1
             elif outcome.status is ExactStatus.BUDGET_EXCEEDED:
                 excluded += 1
-    return found, fallback, excluded, successes, case1, case2, case3
+    return found, excluded, successes, case1, case2, case3
 
 
 def run_simulation(
@@ -128,18 +131,15 @@ def run_simulation(
     reports = []
     # The pool forks all its workers at once; past the CPUs or replications they only wait.
     workers = min(workers, cpus, cfg.replications)
+    blocks = _split_blocks(cfg.replications, workers)
     # One pool serves every cell, so its start-up is paid once per run.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
         for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):
             t0 = time.perf_counter()
-            blocks = _split_blocks(cfg.replications, workers)
             args = [(n, m, M, cfg.master_seed, lo, hi, cfg.limits) for lo, hi in blocks]
-            if pool is None:
-                parts = [_run_block(a) for a in args]
-            else:
-                parts = list(pool.map(_run_block, args))
-            found, fallback, excluded, successes, case1, case2, case3 = (
-                tuple(sum(col) for col in zip(*parts))
+            found, excluded, successes, case1, case2, case3 = (
+                sum(col) for col in zip(*run(_run_block, args))
             )
             wall = time.perf_counter() - t0
             completed = cfg.replications - excluded
@@ -153,7 +153,7 @@ def run_simulation(
                 pct_case1=_pct(case1, placed),
                 pct_case2=_pct(case2, placed),
                 pct_case3=_pct(case3, placed),
-                pct_exact_fallback=_pct(fallback, completed),
+                pct_exact_fallback=_pct(cfg.replications - successes, completed),
                 wall_seconds=wall,
                 excluded=excluded,
             )

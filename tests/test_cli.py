@@ -394,6 +394,20 @@ def test_simulate_warns_once_per_cell_with_exclusions(capsys):
     assert row.rsplit(",", 1)[0] == "3,4,10,20,100.000,89.583,10.417,0.000,66.667"
 
 
+def test_simulate_bad_out_path_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):
+    # A typo in --out must not throw away a long run: the path is opened first.
+    calls = []
+    monkeypatch.setattr("symfair.sim.run_simulation", lambda *a, **k: calls.append(a) or [])
+    target = tmp_path / "missing" / "out.csv"
+    argv = ["simulate", "--n", "3", "--m", "5..9", "--max-value", "100", "--reps", "300",
+            f"--out={target}"]
+    assert main(argv) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
 def test_parse_int_list():
     assert _parse_int_list("3,4,5") == (3, 4, 5)
     assert _parse_int_list("5..10,15") == (5, 6, 7, 8, 9, 10, 15)
@@ -537,6 +551,33 @@ def test_engine_bind_keeps_a_patched_name(files):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == "internal error: RuntimeError: patched k_color\n"
+
+
+def test_engine_names_bind_once_in_main_and_never_for_check(files):
+    # The engine names come from the package's one name table; main binds them
+    # for every command but check, which must load no engine.
+    inst = files("inst.txt", CLIQUE)
+    part = files("part.txt", "1 6\n3 5\n2 4\n")
+    script = (
+        "import sys, symfair, symfair.cli as c\n"
+        "assert set(c._ENGINES) <= set(symfair.__all__), set(c._ENGINES) - set(symfair.__all__)\n"
+        "assert len(c._ENGINES) == len(set(c._ENGINES)) == 14\n"
+        "command = sys.argv[1:]\n"
+        "assert c.main(command) == 0\n"
+        "bound = [name for name in c._ENGINES if name in vars(c)]\n"
+        "if command[0] == 'check':\n"
+        "    assert bound == [], bound\n"
+        "else:\n"
+        "    assert bound == list(c._ENGINES), bound\n"
+        "    for name in c._ENGINES:\n"
+        "        assert vars(c)[name] is getattr(symfair, name), name\n"
+    )
+    for command in (["graph", inst], ["check", inst, part]):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *command], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 def test_solve_unverified_partition_exits_4(files, capsys, monkeypatch):

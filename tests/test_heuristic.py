@@ -126,21 +126,22 @@ def reference_extend(inst, bundles, pending):
     """``extend_allocation``'s pass loop over ``_State``: (partition or None, stats)."""
     state = _State(inst, bundles)
     pending = list(pending)
-    stats = HeuristicStats()
+    case1 = case2 = case3 = 0
     progress = True
     while pending and progress:
         progress = False
         for j in list(pending):
             if _try_case1(state, j):
-                stats.placed_case1 += 1
+                case1 += 1
             elif _try_case2(state, j):
-                stats.placed_case2 += 1
+                case2 += 1
             elif _try_case3(state, j):
-                stats.placed_case3 += 1
+                case3 += 1
             else:
                 continue
             pending.remove(j)
             progress = True
+    stats = HeuristicStats(case1, case2, case3)
     if pending:
         return None, stats
     return state.to_partition(), stats
@@ -278,8 +279,12 @@ def test_extend_allocation_validates_inputs():
     imbalanced = sf.Instance.from_rows([[10, 10, 1], [10, 10, 1]])
     with pytest.raises(ValueError, match="not symEF1"):
         sf.extend_allocation(imbalanced, [{0, 1}, set()], [2])
-    with pytest.raises(ValueError, match="permutation"):
-        sf.greedy_symef1(inst, [0, 0])
+    # greedy_symef1 leaves its item order to extend_allocation's one check.
+    for order in ([0, 0], [0, 0, 1], [1]):
+        with pytest.raises(ValueError, match="partition the item set"):
+            sf.greedy_symef1(inst, order)
+        with pytest.raises(ValueError, match="partition the item set"):
+            sf.extend_allocation(inst, [set(), set()], order)
 
 
 def test_empty_start_skips_the_start_scan(monkeypatch):

@@ -3,7 +3,7 @@
 Each twin below is the ``dataclasses.dataclass`` the record class would be,
 with the same fields, defaults and checks. Building a record and its twin from
 the same arguments must fail the same way, or give objects with the same
-``repr``, equality, hash and assignment behaviour.
+``repr``, equality and hash, and refusing assignment as a frozen dataclass does.
 """
 
 import copy
@@ -103,7 +103,7 @@ class RefExactOutcome:
     nodes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefHeuristicStats:
     placed_case1: int = 0
     placed_case2: int = 0
@@ -197,15 +197,10 @@ def test_record_matches_dataclass_twin(case):
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is type(record) and clone == record
         assert repr(clone) == repr(record)
-    frozen = ref.__dataclass_params__.frozen
+    assert ref.__dataclass_params__.frozen
     for name in fields:
-        if frozen:
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
-                setattr(record, name, 1)
-            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
-                delattr(record, name)
-        else:
-            setattr(record, name, 9)
-            setattr(ref, name, 9)
-            assert repr(record) == _plain(repr(ref))
-    assert (record == again) is frozen
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert record == again
