@@ -19,7 +19,7 @@ _HOME = {
     name: module
     for module, names in (
         ("constructive", ("GroupStructure", "agent_round_robin", "detect_groups",
-                          "grouped_allocation")),
+                          "grouped_allocation", "two_agent_partition")),
         ("core", ("Assignment", "BudgetExceededError", "Instance", "ParseError", "Partition",
                   "SearchLimits", "bundle_value", "first_ef1_violation",
                   "first_symef1_violation", "first_symefx_violation", "format_partition",

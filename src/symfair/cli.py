@@ -13,7 +13,8 @@ diagnostics (provenance, heuristic stats, welfare, progress) go to stderr.
 format: a partition that ``check`` accepts only when k equals n.
 ``solve --strategy=auto`` runs the polynomial stages (closed form, greedy
 builder) before the exponential ones (exact coloring, complete search), in one
-order for every n; only the complete search can report ``INFEASIBLE``.
+order for every n; the closed form answers every two-agent instance, and only
+the complete search can report ``INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .core import (
 # The search engines' names, bound into this module from the package rather
 # than imported above, so that ``check`` starts without loading the engines.
 _ENGINES = (
-    "detect_groups", "grouped_allocation",
+    "detect_groups", "grouped_allocation", "two_agent_partition",
     "ExactStatus", "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
     "max_nash_welfare",
     "greedy_symef1", "order_items",
@@ -264,9 +265,13 @@ def _solve_stage(
     """
     if stage == "constructive":
         structure = detect_groups(inst)
-        if structure is None:
+        if structure is not None:
+            partition = grouped_allocation(inst, structure)
+        elif inst.n == 2:
+            partition = two_agent_partition(inst)
+        else:
             return None, "NOT_APPLICABLE"
-        return grouped_allocation(inst, structure), "constructive (closed form)"
+        return partition, "constructive (closed form)"
     if stage == "coloring":
         try:
             coloring = k_color(build_item_graph(inst), inst.n, limits)

@@ -60,8 +60,8 @@ from .core import (
     _set,
     is_symef1,
 )
+from .constructive import two_agent_partition
 from .heuristic import order_items
-from .tuples import build_item_graph, coloring_to_partition, k_color
 
 
 class ExactStatus(Enum):
@@ -269,8 +269,9 @@ def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOut
     """Decide symEF1 existence; complete within the given budgets.
 
     Two agents always have a symEF1 partition: when the search runs out of
-    budget for n = 2, the answer is the 2-coloring of the conflict graph (a
-    union of two matchings, so bipartite), and ``nodes`` is the search's count.
+    budget for n = 2, the answer is ``two_agent_partition(inst)``, the
+    2-coloring of the conflict graph (a union of two matchings, so bipartite),
+    and ``nodes`` is the search's count.
     """
     searcher = _Searcher(inst, limits or SearchLimits())
     try:
@@ -278,7 +279,7 @@ def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOut
     except BudgetExceededError:
         if inst.n != 2:
             return ExactOutcome(ExactStatus.BUDGET_EXCEEDED, None, searcher.nodes)
-        partition = coloring_to_partition(k_color(build_item_graph(inst), 2), 2)
+        partition = two_agent_partition(inst)
     if partition is None:
         return ExactOutcome(ExactStatus.PROVED_INFEASIBLE, None, searcher.nodes)
     if not is_symef1(inst, partition):

@@ -48,7 +48,8 @@ class ItemGraph(_Record):
 def ranking(inst: Instance, i: int) -> Ranking:
     """Agent i's items sorted by descending value, ties by ascending index."""
     row = inst.values[i]
-    return tuple(sorted(range(inst.m), key=lambda j: (-row[j], j)))
+    # A reverse sort is stable too, so equal values keep ascending index.
+    return tuple(sorted(range(inst.m), key=row.__getitem__, reverse=True))
 
 
 def indexed_tuples(inst: Instance) -> IndexedTuples:

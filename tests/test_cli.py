@@ -235,6 +235,38 @@ def test_solve_constructive(files, capsys):
     inst2 = files("inst2.txt", BLOCKER)
     assert main(["solve", inst2, "--strategy=constructive"]) == 1
     assert capsys.readouterr().out.strip() == "NOT_APPLICABLE"
+    # Two agents whose rows overlap are not grouped, yet the stage answers.
+    inst3 = files("inst3.txt", WELFARE)
+    assert main(["solve", inst3, "--strategy=constructive"]) == 0
+    captured = capsys.readouterr()
+    assert "solved by: constructive" in captured.err
+    partition = sf.parse_partition(captured.out, 2, 6)
+    assert partition == sf.two_agent_partition(sf.parse_instance(WELFARE))
+
+
+def test_auto_answers_two_agents_in_closed_form(files, capsys, monkeypatch):
+    # The constructive stage answers every two-agent instance, so the greedy
+    # builder never runs.
+    path, inst = _uniform_file(files, random.Random(16), 2, 1500)
+
+    def refuse(*args):
+        raise AssertionError("greedy_symef1 called on a two-agent instance")
+
+    monkeypatch.setattr("symfair.cli.greedy_symef1", refuse)
+    assert main(["solve", path]) == 0
+    captured = capsys.readouterr()
+    assert "solved by: constructive" in captured.err
+    assert sf.is_symef1(inst, sf.parse_partition(captured.out, 2, 1500))
+
+
+def test_solve_heuristic_prints_the_greedy_partition(files, capsys):
+    rng = random.Random(17)
+    for n, m in ((2, 9), (2, 40), (3, 12)):
+        path, inst = _uniform_file(files, rng, n, m)
+        assert main(["solve", path, "--strategy=heuristic"]) == 0
+        captured = capsys.readouterr()
+        assert "solved by: heuristic" in captured.err
+        assert captured.out == sf.format_partition(sf.greedy_symef1(inst).partition)
 
 
 def test_solve_coloring_not_applicable_is_not_infeasible(files, capsys):
@@ -561,7 +593,7 @@ def test_engine_names_bind_once_in_main_and_never_for_check(files):
     script = (
         "import sys, symfair, symfair.cli as c\n"
         "assert set(c._ENGINES) <= set(symfair.__all__), set(c._ENGINES) - set(symfair.__all__)\n"
-        "assert len(c._ENGINES) == len(set(c._ENGINES)) == 14\n"
+        "assert len(c._ENGINES) == len(set(c._ENGINES)) == 15\n"
         "command = sys.argv[1:]\n"
         "assert c.main(command) == 0\n"
         "bound = [name for name in c._ENGINES if name in vars(c)]\n"

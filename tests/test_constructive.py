@@ -207,3 +207,22 @@ def test_grouped_allocation_takes_only_the_detected_structure():
     assert sf.is_symef1(inst, sf.grouped_allocation(inst, gs))
     with pytest.raises(ValueError):
         sf.grouped_allocation(sf.Instance.from_rows([[1, 2], [2, 1]]), None)
+
+
+def test_two_agent_partition_separates_both_agents_pairs():
+    # Odd and even m, zeros and ties: the 2-coloring puts the two items of
+    # every conflict edge (each agent's consecutive rank pair) apart.
+    rng = random.Random(16)
+    for m in list(range(61)) * 3:
+        top = rng.choice((1, 2, 5, 10**4))
+        inst = rand_instance(rng, 2, m, top)
+        p = sf.two_agent_partition(inst)
+        assert sf.is_symef1(inst, p)
+        owner = {j: k for k, bundle in enumerate(p.bundles) for j in bundle}
+        assert all(owner[u] != owner[v] for u, v in sf.build_item_graph(inst).edges)
+
+
+def test_two_agent_partition_needs_two_agents():
+    for rows in ([[1, 2, 3]], [[1, 2], [2, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="2 agents"):
+            sf.two_agent_partition(sf.Instance.from_rows(rows))

@@ -64,7 +64,7 @@ def test_node_budget_reports_exhaustion():
 
 def test_two_agents_out_of_budget_fall_back_to_coloring():
     # The search runs out on this instance even at the default budget; two-agent
-    # conflict graphs are bipartite, so the 2-coloring answers instead.
+    # conflict graphs are bipartite, so their closed-form 2-coloring answers instead.
     inst = rand_instance(random.Random(6), 2, 600, 10**4)
     limits = sf.SearchLimits(node_budget=20_000, time_budget=60.0)
     with pytest.raises(sf.BudgetExceededError):
@@ -72,9 +72,7 @@ def test_two_agents_out_of_budget_fall_back_to_coloring():
     outcome = sf.exact_symef1(inst, limits)
     assert outcome.status is sf.ExactStatus.FOUND
     assert outcome.nodes == 20_001
-    assert outcome.partition == sf.coloring_to_partition(
-        sf.k_color(sf.build_item_graph(inst), 2), 2
-    )
+    assert outcome.partition == sf.two_agent_partition(inst)
     assert sf.is_symef1(inst, outcome.partition)
     # Three agents still report the budget (this one needs 33 nodes).
     three = rand_instance(random.Random(6), 3, 30, 10**4)

@@ -28,6 +28,17 @@ def test_ranking_descending_with_index_ties():
     assert sf.ranking(single_swap_trap(), 0)[:4] == (0, 1, 2, 3)
 
 
+def test_ranking_matches_the_explicit_index_tie_key():
+    # ranking sorts in reverse by value alone; a reverse sort is stable, so it
+    # must equal the sort keyed (-value, index) on rows made mostly of ties.
+    rng = random.Random(16)
+    for top in (1, 2, 5):
+        for m in range(61):
+            row = [rng.randint(0, top) for _ in range(m)]
+            inst = sf.Instance.from_rows([row])
+            assert sf.ranking(inst, 0) == tuple(sorted(range(m), key=lambda j: (-row[j], j)))
+
+
 def test_indexed_tuples_blocks_of_n():
     blocks = sf.indexed_tuples(clique_but_solvable())
     assert blocks[0] == (lab("def"), lab("abc"))
