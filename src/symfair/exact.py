@@ -23,11 +23,24 @@ symEF1 check. A child that leaves worst_i where it is passes the first test,
 since every expanded node passed it (the root trivially). If its item also
 lands in a bundle that stays below worst_i, it passes the second: the deficit
 falls by the item's value v, to at most R_i - v, which is what is left at the
-child. So the search tests neither there. The prune only cuts subtrees, so
-the accepted leaves come in the order of a walk without it, and each
-unordered partition is a leaf at most once. When the enumerated set equals
-the naive oracle's, no symEF1 partition was cut, so both walks accept the
-same leaves in the same order and return the same first witness.
+child. So the search tests neither there.
+
+The third test counts items. Let left be the number of unassigned items and
+top_i agent i's largest value among them. A bundle below worst_i gains at
+most top_i per item it receives, so it needs at least
+need_b = max_i ceil((worst_i - v_i(A_b)) / top_i) more items, over the agents
+with v_i(A_b) < worst_i (no finite count if top_i = 0). The bundles receive
+disjoint sets of the remaining items, so no completion is symEF1 when
+
+    sum_b need_b > left.
+
+The bound holds below the node too: worst_i never falls, no remaining item is
+worth more than top_i, and top_i never rises. It tests the child's state
+alone, not the path to it. The prune only cuts subtrees, so the accepted
+leaves come in the order of a walk without it, and each unordered partition
+is a leaf at most once. When the enumerated set equals the naive oracle's, no
+symEF1 partition was cut, so both walks accept the same leaves in the same
+order and return the same first witness.
 
 Cost model. A node scores each child when the walk is back at the node, so
 from the node's own bundle sums and maxima. It holds, per agent, the deficit
@@ -37,10 +50,22 @@ k's term, in O(1); one that raises worst_i to W rescans the n bundle values
 once (bundle k's own term is 0 before and after, as W is at most its old
 value). Agents are tested in order and a child is cut at the first one that
 fails. Only the surviving children are placed and later undone, and each
-passes its deficits down as its own D_i, so no node recomputes them. Nodes are
-counted as the walk reaches each child, a run of cut children in one step, so
-node counts and budget stops are those of a walk that places and tests every
-child in turn.
+passes its deficits down as its own D_i, so no node recomputes them.
+
+Each node also holds the need_b of its bundles, which its parent computed.
+top[d] (top over the items at depths >= d) and drops[d] (the agents whose top
+falls from depth d to d + 1) are built once per search, with the suffix sums;
+depths where no top falls share one list. A node at depth d scores children
+that see top[d + 1], so on entry it merges the terms of the drops[d] agents
+into its counts by maximum: their top falls, so their terms only rise. A
+child's entry k is the maximum over the agents whose worst_i stays of
+ceil((worst_i - s) / top_i). The child is cut as soon as that entry pushes
+the sum past left, and before any test when the other entries already do.
+The agents whose worst_i rises already rescan their row; their terms enter
+the child's counts only once the child has passed every per-agent test
+(their bundle k term is 0). Nodes are counted as the walk reaches each child,
+a run of cut children in one step, so node counts and budget stops are those
+of a walk that places each child and tests it from scratch.
 """
 
 from __future__ import annotations
@@ -112,10 +137,24 @@ class _Searcher:
         self.order = order_items(inst, "desc-total-value")
         # cols[d][i]: agent i's value for the item assigned at depth d.
         self.cols = [[inst.values[i][j] for i in range(inst.n)] for j in self.order]
-        # remaining[d][i]: agent i's value for the items at depths >= d.
-        self.remaining = [[0] * self.n for _ in range(self.m + 1)]
+        # remaining[d][i]: agent i's value for the items at depths >= d;
+        # top[d][i]: agent i's largest value among them (0 if none);
+        # drops[d]: the agents whose top falls from depth d to d + 1. Depths
+        # where no agent's top falls share one top list.
+        agents = range(self.n)
+        self.remaining = remaining = [[0] * self.n] * (self.m + 1)
+        self.top = top = [[0] * self.n] * (self.m + 1)
+        self.drops = drops = [()] * self.m
         for d in range(self.m - 1, -1, -1):
-            self.remaining[d] = [r + v for r, v in zip(self.remaining[d + 1], self.cols[d])]
+            col = self.cols[d]
+            remaining[d] = [r + v for r, v in zip(remaining[d + 1], col)]
+            below = top[d + 1]
+            fell = [i for i in agents if col[i] > below[i]]
+            if fell:
+                top[d] = [v if v > u else u for u, v in zip(below, col)]
+                drops[d] = fell
+            else:
+                top[d] = below
         self.cap = [inst.agent_total(i) // self.n for i in range(self.n)]
         self.assign = [0] * self.m
         self.nodes = 0
@@ -130,6 +169,11 @@ class _Searcher:
             yield self.current_partition()
             return
         cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
+        top, drops = self.top, self.drops
+        # The term of a short bundle for an agent with no value left: above
+        # every item count and every finite term (at most cap_i), so terms
+        # still only rise as tops fall.
+        never = m + 1 + max(cap)
         agents = range(n)
         node_budget = self.limits.node_budget
         time_budget = self.limits.time_budget
@@ -145,21 +189,44 @@ class _Searcher:
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
         # plans[d] yields the surviving children of the node at depth d, in order,
         # as (children the walk reaches from the previous survivor up to this one,
-        # bundle, the child's per-agent deficits), closed by (children after the
-        # last survivor, -1, None).
+        # bundle, the child's per-agent deficits, its per-bundle item counts),
+        # closed by (children after the last survivor, -1, None, None).
         plans: list = [None] * m
 
-        def score(d: int, kids: list[int], base: list[int]) -> Iterator:
+        def score(d: int, kids: list[int], base: list[int], need: list[int]) -> Iterator:
             """Cut the node's children that fail a test; yield the rest in order.
 
-            ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)).
+            ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)),
+            and ``need[b]`` bundle b's item count max_i ceil((worst_i -
+            v_i(A_b)) / top_i) at the node's own depth; the node owns ``need``.
             """
             col = cols[d]
             rem = remaining[d + 1]
+            up = top[d + 1]
+            for i in drops[d]:
+                # Agent i's top falls for the children, so its terms only rise.
+                w = worst[i]
+                if w:
+                    u = up[i]
+                    b = 0
+                    for y in sums[i]:
+                        if y < w:
+                            q = -((y - w) // u) if u else never
+                            if q > need[b]:
+                                need[b] = q
+                        b += 1
+            # A child in bundle k is cut once it needs more than room + need[k]
+            # items there: the other bundles' entries only rise.
+            room = m - d - 1 - sum(need)
             step = 0
             for k in kids:
                 step += 1
+                most = room + need[k]
+                if most < 0:
+                    continue
                 deficits = []
+                rising = None
+                nk = 0
                 for i in agents:
                     srow = sums[i]
                     x = srow[k]
@@ -182,12 +249,22 @@ class _Searcher:
                                     break
                         if deficit > r:
                             break
+                        if rising:
+                            rising.append((i, t))
+                        else:
+                            rising = [(i, t)]
                     else:
                         # Only bundle k's term changes: max(0, w - x) becomes
                         # max(0, w - s).
                         deficit = base[i]
                         if s < w:
                             deficit -= v
+                            # The deficit is positive and at most rem[i], so top_i > 0.
+                            q = -((s - w) // up[i])
+                            if q > nk:
+                                nk = q
+                                if q > most:
+                                    break
                         else:
                             if x < w:
                                 deficit -= w - x
@@ -195,9 +272,27 @@ class _Searcher:
                                 break
                     deficits.append(deficit)
                 else:
-                    yield step, k, deficits
+                    child = need.copy()
+                    child[k] = nk
+                    if rising:
+                        # Merge the rising agents' terms last, once the child
+                        # has passed every per-agent test (their bundle k term is 0).
+                        over = nk - most
+                        for i, t in rising:
+                            u = up[i]
+                            b = 0
+                            for y in sums[i]:
+                                if y < t:
+                                    q = -((y - t) // u)
+                                    if q > child[b]:
+                                        over += q - child[b]
+                                        child[b] = q
+                                b += 1
+                        if over > 0:
+                            continue
+                    yield step, k, deficits, child
                     step = 0
-            yield step, -1, None
+            yield step, -1, None, None
 
         def stop(before: int, after: int) -> None:
             # Children before+1..after were counted in one step. Stop where a
@@ -211,11 +306,11 @@ class _Searcher:
                 self.nodes = node_budget + 1
                 raise BudgetExceededError(f"node budget {node_budget} exhausted")
 
-        plans[0] = score(0, [0], [0] * n)
+        plans[0] = score(0, [0], [0] * n, [0] * n)
         nodes = 0
         d = 0
         while True:
-            step, k, deficits = next(plans[d])
+            step, k, deficits, need = next(plans[d])
             # A zero step can cross neither the node budget nor a multiple of 4096.
             nodes += step
             if nodes > node_budget or (nodes & 4095) < step:
@@ -262,7 +357,7 @@ class _Searcher:
             # Emptiest bundle first, ties by index (sorted is stable); only the
             # first empty bundle may open, so each unordered partition shows once.
             kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
-            plans[d] = score(d, kids, deficits)
+            plans[d] = score(d, kids, deficits, need)
 
 
 def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOutcome:

@@ -132,9 +132,13 @@ class _ReferenceSearcher(sf.exact._Searcher):
     """The loop that places every child, tests it, and undoes it if it fails.
 
     The engine scores children at their parent and places only the ones that
-    survive; it must count the same nodes, cut the same children, stop at the
-    same child and yield the same leaves in the same order as this loop.
+    survive, and it carries the item counts from node to node; it must count
+    the same nodes, cut the same children, stop at the same child and yield
+    the same leaves in the same order as this loop, which tests each placed
+    child from scratch.
     """
+
+    item_count = True  # run the item-count test after the per-agent tests
 
     def leaves(self):
         n, m = self.n, self.m
@@ -143,6 +147,9 @@ class _ReferenceSearcher(sf.exact._Searcher):
             return
         cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
         agents = range(n)
+        # tops[d][i]: agent i's largest value among the items at depths >= d.
+        tops = [[max((cols[e][i] for e in range(d, m)), default=0) for i in agents]
+                for d in range(m + 1)]
         node_budget = self.limits.node_budget
         deadline = time.monotonic() + self.limits.time_budget
         # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
@@ -222,6 +229,22 @@ class _ReferenceSearcher(sf.exact._Searcher):
                 if slack < 0:
                     undo = i + 1
                     break
+            if not undo and self.item_count:
+                # Bundle b needs max_i ceil((worst_i - v_i(A_b)) / top_i) more
+                # items, from scratch; an agent with no value left needs more
+                # than every count.
+                left = m - d - 1
+                up = tops[d + 1]
+                needed = 0
+                for b in range(n):
+                    gaps = [
+                        -((sums[i][b] - worst[i]) // up[i]) if up[i] else left + 1
+                        for i in agents
+                        if sums[i][b] < worst[i]
+                    ]
+                    needed += max(gaps, default=0)
+                if needed > left:
+                    undo = n
             if undo:
                 continue
             if d + 1 == m:
@@ -280,20 +303,25 @@ def test_search_matches_reference_engine():
             }
     assert len(ends) == 5 and min(ends.values()) >= 50, ends
 
-    # The perfbench frontier pool at its node budget: the instances where most
-    # children are cut.
+    # The perfbench frontier pool at its node budget, and six uniform 8x24
+    # draws: the instances where most children are cut.
     limits = sf.SearchLimits(node_budget=40_000, time_budget=3600.0)
+    pool = [
+        (f"frontier:{n}:{m}:{r}", n, m)
+        for n, m in ((5, 10), (5, 15), (6, 12), (6, 15), (6, 18), (7, 14), (7, 21))
+        for r in range(3)
+    ]
+    pool += [(f"rm:8:24:{r}", 8, 24) for r in range(6)]
     timed_out = 0
-    for n, m in ((5, 10), (5, 15), (6, 12), (6, 15), (6, 18), (7, 14), (7, 21)):
-        for r in range(3):
-            pool_rng = random.Random(f"frontier:{n}:{m}:{r}")
-            rows = [[pool_rng.randint(0, 10**4) for _ in range(m)] for _ in range(n)]
-            inst = sf.Instance.from_rows(rows)
-            _same_walks(inst, limits, True)
-            # A deadline already past stops the walk at node 4096.
-            end, _, nodes = _same_walks(inst, sf.SearchLimits(time_budget=1e-9), True)
-            assert (end, nodes) == ("budget", 4096) or nodes < 4096
-            timed_out += end == "budget"
+    for tag, n, m in pool:
+        pool_rng = random.Random(tag)
+        rows = [[pool_rng.randint(0, 10**4) for _ in range(m)] for _ in range(n)]
+        inst = sf.Instance.from_rows(rows)
+        _same_walks(inst, limits, True)
+        # A deadline already past stops the walk at node 4096.
+        end, _, nodes = _same_walks(inst, sf.SearchLimits(time_budget=1e-9), True)
+        assert (end, nodes) == ("budget", 4096) or nodes < 4096
+        timed_out += end == "budget"
     assert timed_out >= 10
 
 
@@ -340,16 +368,45 @@ def test_canonical_partition_sorts_bundles():
 
 def test_oracle_equivalence_on_random_instances():
     rng = random.Random(33)
+    cases = []
     for _ in range(120):
         n = rng.choice([2, 3, 4])
         m = rng.randint(0, {2: 10, 3: 7, 4: 5}[n])
-        inst = rand_instance(rng, n, m, rng.choice([1, 3, 50]))
+        cases.append(rand_instance(rng, n, m, rng.choice([1, 3, 50])))
+    # Rows of 0..1 and 0..2 often leave an agent no value among the items left
+    # while a bundle is still short for it, which the item-count test handles
+    # without a division.
+    for _ in range(150):
+        n = rng.choice([3, 4])
+        cases.append(rand_instance(rng, n, rng.randint(3, {3: 8, 4: 6}[n]), rng.choice([1, 2])))
+    for inst in cases:
         reference = sf.naive_enumerate_symef1(inst)
         assert sf.enumerate_symef1(inst) == reference
         outcome = sf.exact_symef1(inst)
         assert outcome.found == bool(reference)
         if outcome.found:
             assert sf.canonical_partition(outcome.partition) in reference
+
+
+def test_item_count_cuts_a_child_the_value_test_passes():
+    # The search orders the items c, d, a, b, e. Placing b next to a, after c
+    # and d went to bundles of their own, gives the first agent the bundles
+    # {c}, {d} and {a, b}, worth 5, 5 and 20, so its worst is 20 - 10 = 10.
+    # The two short bundles lack 10 in all, and e is worth 10: the value test
+    # passes. But each lacks at least one item, and e is the only item left.
+    inst = sf.Instance.from_rows([[10, 10, 5, 5, 10], [0, 0, 6, 6, 0], [0, 0, 6, 6, 0]])
+
+    class ValueTestsOnly(_ReferenceSearcher):
+        item_count = False
+
+    limits = sf.SearchLimits()
+    end, found, nodes = _same_walks(inst, limits, False)
+    value_end, value_found, value_nodes = _walk(ValueTestsOnly, inst, limits, False)
+    assert end == value_end == "exhausted"
+    # The cut child would have had three children (e in each bundle), all cut.
+    assert (nodes, value_nodes) == (33, 36)
+    assert [leaf for leaf, _ in found] == [leaf for leaf, _ in value_found]
+    assert {sf.canonical_partition(leaf) for leaf, _ in found} == sf.naive_enumerate_symef1(inst)
 
 
 def test_pairs_guaranteed_for_two_agents_four_distinct_items():
