@@ -1,13 +1,13 @@
-"""CPU cost of each `symfair solve --strategy=auto` stage, and of three stage orders.
+"""CPU cost of each `symfair solve --strategy=auto` stage, and of two stage orders.
 
 For n = 2..8 it draws uniform (values 0..10^4) and binary (0/1) instances at a
 small and a large item count, runs every stage of `solve` on each instance
 with the default budgets, and prints a Markdown table. A row gives, for each
 order, which stage decides; the CPU milliseconds of each stage, summed over
 the row's instances; and those of `solve` under each order, which runs the
-stages up to the one that decides. The orders are constructive -> coloring ->
-heuristic -> exact ("old"), constructive -> heuristic -> coloring -> exact
-("new") and constructive -> exact ("exact first").
+stages up to the one that decides. The orders are the one `auto` uses,
+constructive -> heuristic -> coloring -> exact ("auto"), and constructive ->
+exact ("exact first").
 
     PYTHONPATH=src python scripts/stage_costs.py
 
@@ -29,9 +29,7 @@ REPS = 3  # instances per row
 M_PER_N = (3, 50)  # the small and the large m, as multiples of n
 N = range(2, 9)
 
-# The order auto used before it ran the greedy builder first.
-OLD = ("constructive", "coloring", "heuristic", "exact")
-ORDERS = {"old": OLD, "new": AUTO_STAGES, "exact first": ("constructive", "exact")}
+ORDERS = {"auto": AUTO_STAGES, "exact first": ("constructive", "exact")}
 ANSWERED = "answered"
 SHORT = {"constructive": "constr.", "heuristic": "greedy", "coloring": "coloring",
          "exact": "exact", "INFEASIBLE": "infeasible", "BUDGET_EXCEEDED": "budget"}
@@ -69,7 +67,7 @@ def under(order, stages) -> tuple[str, float]:
 
 def main() -> None:
     _bind_engines()  # import the engines now, so no stage's time includes it
-    columns = ["rows", "n", "m", "decided by (old / new / exact first)",
+    columns = ["rows", "n", "m", "decided by (auto / exact first)",
                *(SHORT[s] for s in AUTO_STAGES), *ORDERS]
     print("| " + " | ".join(columns) + " |")
     print("|" + "---|" * len(columns))

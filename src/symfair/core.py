@@ -114,9 +114,6 @@ class Instance(_Record):
         m = len(values[0]) if values else 0
         return cls(n, m, values)
 
-    def agent_total(self, i: int) -> int:
-        return sum(self.values[i])
-
 
 class Partition(_Record):
     """n disjoint bundles of item indices. Empty bundles are allowed.

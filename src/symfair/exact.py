@@ -12,25 +12,27 @@ v_i(A_l) by v_i(S) and max_i(A_l) by at most max_i(S) <= v_i(S): the current
 v_i(A_l) - max_i(A_l) lower-bounds the final one, and every final bundle must
 reach worst_i. Hence no completion is symEF1 when
 
-    worst_i > floor(total_i / n)                  (the final minimum bundle
-                                                   is worth at most the mean), or
     sum_k max(0, worst_i - v_i(A_k)) > R_i        (the bundles below worst_i
                                                    need more than is left).
 
 Placing an item changes only its bundle's term, which never decreases, so
-worst_i updates in O(1). With no items left the second test is exactly the
-symEF1 check. A child that leaves worst_i where it is passes the first test,
-since every expanded node passed it (the root trivially). If its item also
-lands in a bundle that stays below worst_i, it passes the second: the deficit
-falls by the item's value v, to at most R_i - v, which is what is left at the
-child. So the search tests neither there.
+worst_i updates in O(1). With no items left the test is exactly the symEF1
+check. It implies the mean-share cut worst_i > floor(total_i / n): then
+n * worst_i > total_i, and the deficit is at least
+n * worst_i - (total_i - R_i) > R_i. A child that leaves worst_i where it is
+and puts its item in a bundle that stays below worst_i passes the test, as
+its node did (the root trivially): the deficit falls by the item's value v,
+to at most R_i - v, which is what is left at the child. So the search does
+not test it there.
 
-The third test counts items. Let left be the number of unassigned items and
+The second test counts items. Let left be the number of unassigned items and
 top_i agent i's largest value among them. A bundle below worst_i gains at
 most top_i per item it receives, so it needs at least
 need_b = max_i ceil((worst_i - v_i(A_b)) / top_i) more items, over the agents
-with v_i(A_b) < worst_i (no finite count if top_i = 0). The bundles receive
-disjoint sets of the remaining items, so no completion is symEF1 when
+with v_i(A_b) < worst_i and top_i > 0. An agent with top_i = 0 has R_i = 0,
+so the first test already cuts every state that leaves a bundle below its
+worst_i, and it needs no term. The bundles receive disjoint sets of the
+remaining items, so no completion is symEF1 when
 
     sum_b need_b > left.
 
@@ -57,10 +59,13 @@ top[d] (top over the items at depths >= d) and drops[d] (the agents whose top
 falls from depth d to d + 1) are built once per search, with the suffix sums;
 depths where no top falls share one list. A node at depth d scores children
 that see top[d + 1], so on entry it merges the terms of the drops[d] agents
-into its counts by maximum: their top falls, so their terms only rise. A
-child's entry k is the maximum over the agents whose worst_i stays of
-ceil((worst_i - s) / top_i). The child is cut as soon as that entry pushes
-the sum past left, and before any test when the other entries already do.
+into its counts by maximum: their top falls, so their terms only rise. An
+agent whose top falls to 0 is skipped: a child that leaves one of its
+bundles short fails its deficit test, and a child that fills its one short
+bundle k gets entry k recomputed. A child's entry k is the maximum over the
+agents whose worst_i stays of ceil((worst_i - s) / top_i). The child is cut
+as soon as that entry pushes the sum past left, and before any test when
+the other entries already do.
 The agents whose worst_i rises already rescan their row; their terms enter
 the child's counts only once the child has passed every per-agent test
 (their bundle k term is 0). Nodes are counted as the walk reaches each child,
@@ -155,7 +160,6 @@ class _Searcher:
                 drops[d] = fell
             else:
                 top[d] = below
-        self.cap = [inst.agent_total(i) // self.n for i in range(self.n)]
         self.assign = [0] * self.m
         self.nodes = 0
 
@@ -168,12 +172,8 @@ class _Searcher:
         if m == 0:
             yield self.current_partition()
             return
-        cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
+        cols, remaining, assign = self.cols, self.remaining, self.assign
         top, drops = self.top, self.drops
-        # The term of a short bundle for an agent with no value left: above
-        # every item count and every finite term (at most cap_i), so terms
-        # still only rise as tops fall.
-        never = m + 1 + max(cap)
         agents = range(n)
         node_budget = self.limits.node_budget
         time_budget = self.limits.time_budget
@@ -204,14 +204,15 @@ class _Searcher:
             rem = remaining[d + 1]
             up = top[d + 1]
             for i in drops[d]:
-                # Agent i's top falls for the children, so its terms only rise.
+                # Agent i's top falls for the children, so its terms only rise;
+                # with no value left (u = 0) its deficit test cuts instead.
                 w = worst[i]
-                if w:
-                    u = up[i]
+                u = up[i]
+                if w and u:
                     b = 0
                     for y in sums[i]:
                         if y < w:
-                            q = -((y - w) // u) if u else never
+                            q = -((y - w) // u)
                             if q > need[b]:
                                 need[b] = q
                         b += 1
@@ -238,8 +239,6 @@ class _Searcher:
                     if t > w:
                         # worst_i rises to t, so every term changes: rescan.
                         # Bundle k adds nothing, before or after: t <= x <= s.
-                        if t > cap[i]:
-                            break
                         r = rem[i]
                         deficit = 0
                         for y in srow:

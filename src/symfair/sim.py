@@ -153,7 +153,7 @@ def run_simulation(
                 pct_case1=_pct(case1, placed),
                 pct_case2=_pct(case2, placed),
                 pct_case3=_pct(case3, placed),
-                pct_exact_fallback=_pct(cfg.replications - successes, completed),
+                pct_exact_fallback=_pct(completed - successes, completed),
                 wall_seconds=wall,
                 excluded=excluded,
             )

@@ -423,7 +423,7 @@ def test_simulate_warns_once_per_cell_with_exclusions(capsys):
                "and were excluded\n")
     assert captured.err.count(warning) == 1
     header, row = captured.out.splitlines()
-    assert row.rsplit(",", 1)[0] == "3,4,10,20,100.000,89.583,10.417,0.000,66.667"
+    assert row.rsplit(",", 1)[0] == "3,4,10,20,100.000,89.583,10.417,0.000,0.000"
 
 
 def test_simulate_bad_out_path_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):

@@ -135,7 +135,9 @@ class _ReferenceSearcher(sf.exact._Searcher):
     survive, and it carries the item counts from node to node; it must count
     the same nodes, cut the same children, stop at the same child and yield
     the same leaves in the same order as this loop, which tests each placed
-    child from scratch.
+    child from scratch. It also keeps the mean-share test (worst_i above
+    floor(total_i / n)) that the engine leaves to the deficit test, so the
+    match shows that the engine's two tests cut the same children.
     """
 
     item_count = True  # run the item-count test after the per-agent tests
@@ -145,8 +147,10 @@ class _ReferenceSearcher(sf.exact._Searcher):
         if m == 0:
             yield self.current_partition()
             return
-        cols, remaining, cap, assign = self.cols, self.remaining, self.cap, self.assign
+        cols, remaining, assign = self.cols, self.remaining, self.assign
         agents = range(n)
+        # cap[i]: the mean share floor(total_i / n), which no final minimum bundle exceeds.
+        cap = [r // n for r in remaining[0]]
         # tops[d][i]: agent i's largest value among the items at depths >= d.
         tops = [[max((cols[e][i] for e in range(d, m)), default=0) for i in agents]
                 for d in range(m + 1)]

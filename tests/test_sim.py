@@ -236,12 +236,25 @@ def test_exclusion_warning_goes_to_progress_only(capsys):
                     limits=sf.SearchLimits(node_budget=1))
     (report,) = run_simulation(cfg, workers=1)
     assert report.excluded == 8
+    # Every completed replication was a greedy success; the excluded ones are not counted.
+    assert report.pct_exact_fallback == 0.0
     assert capsys.readouterr() == ("", "")
     progress = []
     run_simulation(cfg, workers=1, progress=progress.append)
     assert progress[1] == ("warning: n=3 m=4 M=10: 8 replications exceeded the search "
                            "budget and were excluded")
     assert len(progress) == 2
+
+
+def test_exact_fallback_share_counts_completed_replications_only():
+    # 40 replications: 10 run out of the node budget, 8 of the other 30 are
+    # greedy successes, so 22 of 30 completed ones fell back to the search.
+    cfg = SimConfig(n_list=(4,), m_list=(8,), M_list=(10**4,), replications=40,
+                    master_seed=42, limits=sf.SearchLimits(node_budget=20))
+    (report,) = run_simulation(cfg, workers=1)
+    assert report.excluded == 10
+    assert round(report.pct_exact_fallback, 3) == 73.333
+    assert report.pct_symef1 == 100.0
 
 
 def test_run_simulation_rejects_workers_below_one():
