@@ -29,6 +29,25 @@ O(n), and a removal rescans a bundle for one agent only when the removed item
 was one of that agent's two largest in it. The run stops after a full round
 of the queue places nothing: every pending item then failed all three repairs
 in the current state, which would reject it again.
+
+Pair bound. A relocation or swap for item j between bundles k and l scans
+|A_k| * |A_l| candidates (|A_l| = 1 for a relocation), and on large bundles
+most pairs reject them all. Fix an agent; s, best and W = s - best are its
+values of the bundles now, lo its smallest sum over the other bundles and v
+its value of j. An accepted move leaves both new W's at most lo, so their sum
+is at most 2 lo. The two new sums add up to s_k + s_l + v. Bundle l's new
+best item is at most big = max(best_k, best_l). Bundle k's is at most
+max(top, v), with top = best_k for a relocation (k only loses an item besides
+gaining j) and top = big for a swap. So the two new W's sum to at least
+s_k + s_l + v - max(top, v) - big, and with slack = s_k + s_l - big - 2 lo,
+every candidate of the pair fails once max(top, v) - v < slack, that is, once
+slack > 0 and v > top - slack. An agent with slack > 0 thus gives the pair a
+gate (row, top - slack), and the pair is skipped for j when row[j] exceeds
+one of its gates. The gates are built once per pair and state, with the
+pair's other constants, and cost one comparison each per item. With two
+agents there is no other bundle (lo is infinite), so there are no gates. The
+bound skips only pairs with no accepted candidate, so the first accepted move
+is the one a full scan finds.
 """
 
 from __future__ import annotations
@@ -37,7 +56,7 @@ import random
 from bisect import insort
 from collections import deque
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import Instance, Partition, _first_violation, _Record, _set
 
@@ -112,7 +131,7 @@ class _Table:
             for k in range(n):
                 self._rescan(i, k)
         self._ext: list[tuple] | None = None
-        self._pairs: dict[tuple[int, int], list[tuple]] = {}
+        self._pairs: dict[tuple[int, int], tuple] = {}
 
     def _rescan(self, i: int, k: int) -> None:
         row = self.rows[i]
@@ -183,15 +202,20 @@ class _Table:
             ]
         return self._ext
 
-    def _pair(self, k: int, l: int) -> list[tuple]:
-        """Per agent: (row, sum_k, best_k, second_k, sum_l, best_l, second_l, lo, hi).
+    def _pair(self, k: int, l: int) -> tuple[list[tuple], tuple[list[tuple], list[tuple]]]:
+        """(consts, (relocation gates, swap gates)) of the bundle pair (k, l) in this state.
 
-        lo is the smallest sum and hi the largest W over the bundles other than
-        k and l (infinity and 0 when there are none; W is never negative).
+        consts holds per agent (row, sum_k, best_k, second_k, sum_l, best_l,
+        second_l, lo, hi), where lo is the smallest sum and hi the largest W
+        over the bundles other than k and l (infinity and 0 when there are
+        none; W is never negative). A gate (row, t) rules out every candidate
+        of the pair for an item j with row[j] > t (module docstring).
         """
-        consts = self._pairs.get((k, l))
-        if consts is None:
-            consts = self._pairs[k, l] = []
+        cached = self._pairs.get((k, l))
+        if cached is None:
+            consts: list[tuple] = []
+            relocate: list[tuple] = []
+            swap: list[tuple] = []
             for (row, s, b, lows, highs), c in zip(self._extremes(), self.second):
                 for lo, x in lows:
                     if x != k and x != l:
@@ -199,8 +223,15 @@ class _Table:
                 for hi, x in highs:
                     if x != k and x != l:
                         break
-                consts.append((row, s[k], b[k], c[k], s[l], b[l], c[l], lo, hi))
-        return consts
+                sk, bk, sl, bl = s[k], b[k], s[l], b[l]
+                consts.append((row, sk, bk, c[k], sl, bl, c[l], lo, hi))
+                big = bk if bk > bl else bl
+                slack = sk + sl - big - 2 * lo
+                if slack > 0:
+                    relocate.append((row, bk - slack))
+                    swap.append((row, big - slack))
+            cached = self._pairs[k, l] = (consts, (relocate, swap))
+        return cached
 
     # -- the three repairs --------------------------------------------------
 
@@ -221,15 +252,19 @@ class _Table:
 
     def try_relocate(self, j: int) -> bool:
         """Case 2: move one item of bundle k to bundle l, then put j into k."""
-        return self._exchange(j, lambda l: (self.m,))
+        return self._exchange(j, False)
 
     def try_swap(self, j: int) -> bool:
         """Case 3: swap an item of bundle k with one of bundle l, then put j into k."""
-        return self._exchange(j, self.bundles.__getitem__)
+        return self._exchange(j, True)
 
-    def _exchange(self, j: int, partners: Callable[[int], Sequence[int]]) -> bool:
-        """Move jk from bundle k to l and ``partners(l)``'s jl from l to k, then put j into k."""
+    def _exchange(self, j: int, swap: bool) -> bool:
+        """Move jk from bundle k to l and jl from l to k, then put j into k.
+
+        jl is an item of bundle l for a swap and the phantom for a relocation.
+        """
         n = self.n
+        phantom = (self.m,)
         for k in range(n):
             items_k = self.bundles[k]
             if not items_k:
@@ -237,31 +272,36 @@ class _Table:
             for l in range(n):
                 if l == k:
                     continue
-                items_l = partners(l)
+                items_l = self.bundles[l] if swap else phantom
                 if not items_l:
                     continue
-                consts = self._pair(k, l)
-                for jk in items_k:
-                    for jl in items_l:
-                        for row, sk, b1k, b2k, sl, b1l, b2l, lo, hi in consts:
-                            v = row[j]
-                            a = row[jk]
-                            b = row[jl]
-                            sk2 = sk - a + v + b
-                            top = b2k if a == b1k else b1k
-                            if v > top:
-                                top = v
-                            wk = sk2 - (b if b > top else top)
-                            sl2 = sl - b + a
-                            top = b2l if b == b1l else b1l
-                            wl = sl2 - (a if a > top else top)
-                            if (sk2 < wl or sk2 < hi or sl2 < wk or sl2 < hi
-                                    or lo < wk or lo < wl):
-                                break
-                        else:
-                            moves = ((jk, k, l),) if jl == self.m else ((jk, k, l), (jl, l, k))
-                            self._commit(k, j, moves)
-                            return True
+                consts, gates = self._pair(k, l)
+                # An item above one of the pair's gates fails every candidate.
+                for row, t in gates[swap]:
+                    if row[j] > t:
+                        break
+                else:
+                    for jk in items_k:
+                        for jl in items_l:
+                            for row, sk, b1k, b2k, sl, b1l, b2l, lo, hi in consts:
+                                v = row[j]
+                                a = row[jk]
+                                b = row[jl]
+                                sk2 = sk - a + v + b
+                                top = b2k if a == b1k else b1k
+                                if v > top:
+                                    top = v
+                                wk = sk2 - (b if b > top else top)
+                                sl2 = sl - b + a
+                                top = b2l if b == b1l else b1l
+                                wl = sl2 - (a if a > top else top)
+                                if (sk2 < wl or sk2 < hi or sl2 < wk or sl2 < hi
+                                        or lo < wk or lo < wl):
+                                    break
+                            else:
+                                moves = ((jk, k, l),) if jl == self.m else ((jk, k, l), (jl, l, k))
+                                self._commit(k, j, moves)
+                                return True
         return False
 
 

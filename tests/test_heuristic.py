@@ -83,43 +83,49 @@ def _try_case1(state: _State, j: int) -> bool:
     return False
 
 
-def _try_case2(state: _State, j: int) -> bool:
-    for k in range(state.n):
-        for l in range(state.n):
-            if l == k:
-                continue
-            for jk in sorted(state.bundles[k]):
-                state.remove(k, jk)
-                state.add(k, j)
-                state.add(l, jk)
-                if state.symef1_now():
-                    return True
-                state.remove(l, jk)
-                state.remove(k, j)
-                state.add(k, jk)
+def _ordered_pairs(n: int):
+    return [(k, l) for k in range(n) for l in range(n) if l != k]
+
+
+def _relocate_within(state: _State, j: int, k: int, l: int) -> bool:
+    """Some relocation from bundle k to l, then j into k, is symEF1 (left applied)."""
+    for jk in sorted(state.bundles[k]):
+        state.remove(k, jk)
+        state.add(k, j)
+        state.add(l, jk)
+        if state.symef1_now():
+            return True
+        state.remove(l, jk)
+        state.remove(k, j)
+        state.add(k, jk)
     return False
+
+
+def _swap_within(state: _State, j: int, k: int, l: int) -> bool:
+    """Some swap between bundles k and l, then j into k, is symEF1 (left applied)."""
+    for jk in sorted(state.bundles[k]):
+        for jl in sorted(state.bundles[l]):
+            state.remove(k, jk)
+            state.remove(l, jl)
+            state.add(k, j)
+            state.add(k, jl)
+            state.add(l, jk)
+            if state.symef1_now():
+                return True
+            state.remove(l, jk)
+            state.remove(k, jl)
+            state.remove(k, j)
+            state.add(l, jl)
+            state.add(k, jk)
+    return False
+
+
+def _try_case2(state: _State, j: int) -> bool:
+    return any(_relocate_within(state, j, k, l) for k, l in _ordered_pairs(state.n))
 
 
 def _try_case3(state: _State, j: int) -> bool:
-    for k in range(state.n):
-        for l in range(state.n):
-            if l == k:
-                continue
-            for jk in sorted(state.bundles[k]):
-                for jl in sorted(state.bundles[l]):
-                    state.remove(k, jk)
-                    state.remove(l, jl)
-                    state.add(k, j)
-                    state.add(k, jl)
-                    state.add(l, jk)
-                    if state.symef1_now():
-                        return True
-                    state.remove(l, jk)
-                    state.remove(k, jl)
-                    state.remove(k, j)
-                    state.add(l, jl)
-                    state.add(k, jk)
-    return False
+    return any(_swap_within(state, j, k, l) for k, l in _ordered_pairs(state.n))
 
 
 def reference_extend(inst, bundles, pending):
@@ -336,13 +342,22 @@ def test_kernel_matches_reference_builder():
     # reference, from scratch and from random symEF1 partial states; a partial
     # state the reference finds not symEF1 must be refused at the start. Small
     # value ranges make ties between items and between bundles common. m stops
-    # at 12 for n >= 5, where the reference's failed runs cost the most.
+    # at 12 for n >= 5, where the reference's failed runs cost the most. The
+    # last draws have larger bundles and rows of 0..1 or 0..3, where the pair
+    # gates fire most, so the first accepted exchange is compared on states
+    # where gates skip pairs.
     rng = random.Random(24)
-    partial_starts = refused = failures = 0
-    for _ in range(2000):
-        n = rng.randint(1, 6)
-        m = rng.randint(0, 16 if n <= 4 else 12)
-        M = rng.choice((1, 2, 3, 10, 100, 10**4))
+
+    def draws():
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            m = rng.randint(0, 16 if n <= 4 else 12)
+            yield False, n, m, rng.choice((1, 2, 3, 10, 100, 10**4))
+        for _ in range(300):
+            yield True, rng.randint(3, 4), rng.randint(17, 40), rng.choice((1, 3))
+
+    partial_starts = refused = failures = large_exchanges = 0
+    for large, n, m, M in draws():
         inst = sf.Instance.from_rows([[rng.randint(0, M) for _ in range(m)] for _ in range(n)])
         order = list(range(m))
         rng.shuffle(order)
@@ -365,6 +380,39 @@ def test_kernel_matches_reference_builder():
         expected = reference_extend(inst, bundles, pending)
         assert (result.partition, result.stats) == expected
         failures += not result.found
+        if large:
+            large_exchanges += result.stats.placed_case2 + result.stats.placed_case3
     assert partial_starts > 500
     assert refused > 200, refused
     assert failures > 200
+    assert large_exchanges > 800, large_exchanges
+
+
+def test_pair_gates_rule_out_only_pairs_without_an_accepted_exchange():
+    # On symEF1 partial states with bundles of up to about 40 items, built by
+    # the table's own repairs, no relocation (or swap) of an item between a
+    # bundle pair whose gate the item exceeds is accepted by the
+    # mutate/check/undo reference. The gates must fire often enough to matter.
+    rng = random.Random(25)
+    fired = {False: 0, True: 0}
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        m = rng.randint(2 * n, 120)
+        M = rng.choice((1, 3, 10**4))
+        inst = sf.Instance.from_rows([[rng.randint(0, M) for _ in range(m)] for _ in range(n)])
+        order = list(range(m))
+        rng.shuffle(order)
+        table = _Table(inst, [()] * n)
+        for j in order[1:]:
+            table.try_insert(j) or table.try_relocate(j) or table.try_swap(j)
+        assert partial_symef1(inst, table.bundles)
+        # The held-out item, then up to two items the repairs could not place.
+        placed = set().union(*table.bundles)
+        for j in [order[0]] + [j for j in order if j not in placed][:2]:
+            for k, l in _ordered_pairs(n):
+                _, gates = table._pair(k, l)
+                for swap, within in ((False, _relocate_within), (True, _swap_within)):
+                    if any(row[j] > t for row, t in gates[swap]):
+                        fired[swap] += 1
+                        assert not within(_State(inst, table.bundles), j, k, l), (j, k, l, swap)
+    assert fired[False] > 800 and fired[True] > 800, fired
