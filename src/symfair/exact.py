@@ -38,11 +38,28 @@ remaining items, so no completion is symEF1 when
 
 The bound holds below the node too: worst_i never falls, no remaining item is
 worth more than top_i, and top_i never rises. It tests the child's state
-alone, not the path to it. The prune only cuts subtrees, so the accepted
-leaves come in the order of a walk without it, and each unordered partition
-is a leaf at most once. When the enumerated set equals the naive oracle's, no
-symEF1 partition was cut, so both walks accept the same leaves in the same
-order and return the same first witness.
+alone, not the path to it.
+
+The third test, the cover test, prices a bundle that is one item short for
+several agents at once. Take a node at depth d and a bundle b with
+need_b = 1, short for the agents i with gaps g_i = worst_i - v_i(A_b) > 0.
+If no item at a depth after d is worth at least g_i to every one of them,
+b needs two more items in every child that puts item d elsewhere: b keeps
+its value there, and only the items after d are left to fill it. So those
+children count need_b = 2. The count stays valid below such a child until b
+gains an item, when its entry is recomputed: the gaps only grow, the agents
+b is short for only join, and the items after the depth only leave. One
+short agent never fails the test while its top_i > 0, as the item worth
+top_i >= g_i fills b; an agent with top_i = 0 can fail it, but its deficit
+test cuts every child that leaves b short for it anyway. For the same
+reason, a node's test fails wherever an ancestor's failed for a bundle that
+has gained no item since.
+
+The prune only cuts subtrees, so the accepted leaves come in the order of a
+walk without it, and each unordered partition is a leaf at most once. When
+the enumerated set equals the naive oracle's, no symEF1 partition was cut,
+so both walks accept the same leaves in the same order and return the same
+first witness.
 
 Cost model. A node scores each child when the walk is back at the node, so
 from the node's own bundle sums and maxima. It holds, per agent, the deficit
@@ -71,13 +88,30 @@ the child's counts only once the child has passed every per-agent test
 (their bundle k term is 0). Nodes are counted as the walk reaches each child,
 a run of cut children in one step, so node counts and budget stops are those
 of a walk that places each child and tests it from scratch.
+
+The cover test raises only entries at 1, each by one, so it can cut a child
+only if the child's count, plus one for each of its other entries at 1,
+exceeds the items left. A node runs the test, for all its bundles at once,
+the first time a child that passed every other test meets that condition;
+the raised entries go into the node's counts, so they also cut its later
+children. A node that never meets it cuts the same children as one that
+runs the test up front, and its descendants run the test themselves where
+it can cut (a test that fails at a node fails at its descendants too). A
+query costs one binary search and one AND per short agent. An agent's table,
+built on its first query in a search, lists its values sorted with prefix
+bitmasks of their depths, so the items worth at least g_i to it are one
+prefix mask; b fails when the AND of these masks over its short agents and
+the mask of the depths after d is 0.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from enum import Enum
+from itertools import accumulate
+from operator import neg, or_
 from typing import Iterator
 
 from .core import (
@@ -163,6 +197,19 @@ class _Searcher:
         self.assign = [0] * self.m
         self.nodes = 0
 
+    def cover_table(self, i: int) -> tuple[list[int], list[int]]:
+        """Agent i's values negated and sorted, and prefix masks of their depths.
+
+        masks[t] has bit m - 1 - e set for the depths e of the agent's t most
+        valued items, so ``masks[bisect_right(negs, -g)]`` holds the depths of
+        the items worth at least g to it.
+        """
+        m = self.m
+        row = [col[i] for col in self.cols]
+        ranked = sorted(range(m), key=row.__getitem__, reverse=True)
+        bits = [1 << (m - 1 - e) for e in ranked]
+        return sorted(map(neg, row)), list(accumulate(bits, or_, initial=0))
+
     def current_partition(self) -> Partition:
         return Partition.from_labels(zip(self.order, self.assign), self.n)
 
@@ -193,12 +240,40 @@ class _Searcher:
         # closed by (children after the last survivor, -1, None, None).
         plans: list = [None] * m
 
+        tables = [None] * n  # cover_table(i), built on agent i's first cover query
+
+        def raise_uncovered(d: int, need: list[int]) -> list[int]:
+            """Set need[b] = 2 where the cover test fails; return those bundles."""
+            later = (1 << (m - 1 - d)) - 1  # the depths after d
+            raised = []
+            b = 0
+            for c in need:
+                if c == 1:
+                    free = later
+                    for i in agents:
+                        y = sums[i][b]
+                        w = worst[i]
+                        if y < w:
+                            table = tables[i]
+                            if table is None:
+                                table = tables[i] = self.cover_table(i)
+                            negs, masks = table
+                            free &= masks[bisect_right(negs, y - w)]
+                            if not free:
+                                raised.append(b)
+                                break
+                b += 1
+            for b in raised:
+                need[b] = 2
+            return raised
+
         def score(d: int, kids: list[int], base: list[int], need: list[int]) -> Iterator:
             """Cut the node's children that fail a test; yield the rest in order.
 
             ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)),
             and ``need[b]`` bundle b's item count max_i ceil((worst_i -
-            v_i(A_b)) / top_i) at the node's own depth; the node owns ``need``.
+            v_i(A_b)) / top_i) at the node's own depth, or 2 where the cover
+            test failed here or above; the node owns ``need``.
             """
             col = cols[d]
             rem = remaining[d + 1]
@@ -219,6 +294,8 @@ class _Searcher:
             # A child in bundle k is cut once it needs more than room + need[k]
             # items there: the other bundles' entries only rise.
             room = m - d - 1 - sum(need)
+            # Entries at 1, which the cover test may raise to 2; 0 once it ran.
+            ones = need.count(1)
             step = 0
             for k in kids:
                 step += 1
@@ -273,10 +350,10 @@ class _Searcher:
                 else:
                     child = need.copy()
                     child[k] = nk
+                    over = nk - most
                     if rising:
                         # Merge the rising agents' terms last, once the child
                         # has passed every per-agent test (their bundle k term is 0).
-                        over = nk - most
                         for i, t in rising:
                             u = up[i]
                             b = 0
@@ -287,6 +364,17 @@ class _Searcher:
                                         over += q - child[b]
                                         child[b] = q
                                 b += 1
+                        if over > 0:
+                            continue
+                    if ones and over + child.count(1) - (nk == 1) > 0:
+                        # The cover test could cut this child: run it, once per node.
+                        ones = 0
+                        raised = raise_uncovered(d, need)
+                        room -= len(raised)
+                        for b in raised:
+                            if b != k and child[b] == 1:
+                                child[b] = 2
+                                over += 1
                         if over > 0:
                             continue
                     yield step, k, deficits, child

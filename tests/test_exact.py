@@ -137,10 +137,13 @@ class _ReferenceSearcher(sf.exact._Searcher):
     the same leaves in the same order as this loop, which tests each placed
     child from scratch. It also keeps the mean-share test (worst_i above
     floor(total_i / n)) that the engine leaves to the deficit test, so the
-    match shows that the engine's two tests cut the same children.
+    match shows that the engine's two tests cut the same children. It runs
+    the cover test at every node, before placing the node's children, where
+    the engine runs it only once a child could be cut by it.
     """
 
     item_count = True  # run the item-count test after the per-agent tests
+    cover = True  # in it, count two items for a bundle no single later item fills
 
     def leaves(self):
         n, m = self.n, self.m
@@ -167,6 +170,11 @@ class _ReferenceSearcher(sf.exact._Searcher):
         children: list[list[int]] = [[] for _ in range(m)]
         pos = [0] * m
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
+        # uncovered[d]: the bundles that, at the node at depth d, are short for
+        # some agent while no item at a depth after d is worth the gap to every
+        # agent they are short for; a child that puts item d elsewhere needs two
+        # more items there.
+        uncovered: list[set[int]] = [set() for _ in range(m)]
         children[0] = [0]
         nodes = 0
         d = 0
@@ -246,6 +254,8 @@ class _ReferenceSearcher(sf.exact._Searcher):
                         for i in agents
                         if sums[i][b] < worst[i]
                     ]
+                    if self.cover and b != k and b in uncovered[d]:
+                        gaps.append(2)
                     needed += max(gaps, default=0)
                 if needed > left:
                     undo = n
@@ -263,6 +273,17 @@ class _ReferenceSearcher(sf.exact._Searcher):
             # first empty bundle may open, so each unordered partition shows once.
             children[d] = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
             pos[d] = 0
+            uncovered[d] = set()
+            for b in range(n):
+                gaps = [(i, worst[i] - sums[i][b]) for i in agents if sums[i][b] < worst[i]]
+                if gaps and not any(
+                    all(cols[e][i] >= g for i, g in gaps) for e in range(d + 1, m)
+                ):
+                    uncovered[d].add(b)
+
+
+class _NoCover(_ReferenceSearcher):
+    cover = False
 
 
 def _walk(searcher_cls, inst, limits, first_only):
@@ -383,13 +404,26 @@ def test_oracle_equivalence_on_random_instances():
     for _ in range(150):
         n = rng.choice([3, 4])
         cases.append(rand_instance(rng, n, rng.randint(3, {3: 8, 4: 6}[n]), rng.choice([1, 2])))
-    for inst in cases:
+    # Rows of 0..3 and 0..10 with m about 2n often leave a bundle short for two
+    # agents that no single remaining item fills, where the cover test cuts.
+    # On binary rows, and at n = 5 or 6 with m <= 7, it almost never does.
+    uncovered = []
+    for n, m, count in ((3, 9, 12), (4, 7, 16), (5, 7, 2)):
+        for _ in range(count):
+            uncovered.append(rand_instance(rng, n, m, rng.choice([3, 10])))
+    for inst in cases + uncovered:
         reference = sf.naive_enumerate_symef1(inst)
         assert sf.enumerate_symef1(inst) == reference
         outcome = sf.exact_symef1(inst)
         assert outcome.found == bool(reference)
         if outcome.found:
             assert sf.canonical_partition(outcome.partition) in reference
+    limits = sf.SearchLimits()
+    cut = sum(
+        _walk(sf.exact._Searcher, inst, limits, False) != _walk(_NoCover, inst, limits, False)
+        for inst in uncovered
+    )
+    assert cut >= 5, cut
 
 
 def test_item_count_cuts_a_child_the_value_test_passes():
@@ -410,6 +444,26 @@ def test_item_count_cuts_a_child_the_value_test_passes():
     # The cut child would have had three children (e in each bundle), all cut.
     assert (nodes, value_nodes) == (33, 36)
     assert [leaf for leaf, _ in found] == [leaf for leaf, _ in value_found]
+    assert {sf.canonical_partition(leaf) for leaf, _ in found} == sf.naive_enumerate_symef1(inst)
+
+
+def test_cover_cuts_a_child_the_item_count_test_passes():
+    # The search orders the items d, b, e, a, c. With d and b in the first
+    # bundle, the first agent's worst is 4 - 2 = 2 and the second's 4 - 3 = 1.
+    # Putting e in the second bundle leaves that bundle 2 short for the first
+    # agent, and the empty third bundle 2 short for the first agent and 1 for
+    # the second. a and c are left, worth 3 and 1 to the first agent and 0 and
+    # 1 to the second: the value deficits fit (4 of 4 and 1 of 1), and each
+    # short bundle needs one more item, two in all. But neither item fills the
+    # third bundle for both agents, so it needs both, and the second gets none.
+    inst = sf.Instance.from_rows([[3, 2, 1, 2, 0], [0, 1, 1, 3, 3], [0, 1, 0, 0, 1]])
+    limits = sf.SearchLimits()
+    end, found, nodes = _same_walks(inst, limits, False)
+    plain_end, plain_found, plain_nodes = _walk(_NoCover, inst, limits, False)
+    assert end == plain_end == "exhausted"
+    # The cut child would have had three children (a in each bundle), all cut.
+    assert (nodes, plain_nodes) == (14, 17)
+    assert [leaf for leaf, _ in found] == [leaf for leaf, _ in plain_found]
     assert {sf.canonical_partition(leaf) for leaf, _ in found} == sf.naive_enumerate_symef1(inst)
 
 
