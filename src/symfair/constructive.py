@@ -9,6 +9,8 @@ identical rows and pairwise disjoint supports, and, for any two agents, a
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .core import Instance, Partition, _Record, _set
 from .tuples import ranking
 
@@ -85,28 +87,46 @@ def two_agent_partition(inst: Instance) -> Partition:
     is a graph of paths and cycles whose edges alternate between the agents.
     Every cycle is even and the graph is bipartite, so alternating two colors
     along each component separates every pair, which is sufficient for symEF1.
-    Each component is walked from its lowest-index item, which gets bundle 1.
-    Raises ValueError unless the instance has exactly two agents.
+    Each component gets its coloring from its lowest-index item, which goes to
+    bundle 1: that item fixes the component's 2-coloring, so the order of the
+    walk does not matter. Raises ValueError unless the instance has exactly two
+    agents.
     """
     if inst.n != 2:
         raise ValueError(f"two_agent_partition needs 2 agents, not {inst.n}")
     m = inst.m
-    partners: list[list[int]] = [[] for _ in range(m)]
+    # mates[i][j] is the other item of agent i's pair holding j, or None.
+    mates = []
     for i in (0, 1):
         order = ranking(inst, i)
+        mate: list[int | None] = [None] * m
         for a, b in zip(order[0::2], order[1::2]):
-            partners[a].append(b)
-            partners[b].append(a)
-    color = [-1] * m
-    for start in range(m):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in partners[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-    return Partition.from_labels(enumerate(color), 2)
+            mate[a] = b
+            mate[b] = a
+        mates.append(mate)
+    # side[j] is 1 or 2 for bundle 1 or 2, and 0 while item j is uncolored.
+    side = bytearray(m)
+    start = side.find(0)
+    while start >= 0:
+        side[start] = 1
+        # Out along agent 0's pair, then along agent 1's. The edges alternate
+        # between the agents and the sides alternate with them. On a cycle the
+        # first direction comes back to start and colors the whole cycle.
+        for out, back in (mates, mates[::-1]):
+            u = start
+            while True:
+                u = out[u]
+                if u is None or side[u]:
+                    break
+                side[u] = 2
+                u = back[u]
+                if u is None or side[u]:
+                    break
+                side[u] = 1
+        start = side.find(0, start + 1)
+    return Partition(
+        (
+            frozenset(compress(range(m), side.replace(b"\x02", b"\x00"))),
+            frozenset(compress(range(m), side.replace(b"\x01", b"\x00"))),
+        )
+    )

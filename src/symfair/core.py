@@ -296,7 +296,12 @@ def validate_partition(inst: Instance, partition: Partition) -> None:
         raise ValueError(
             f"partition has {len(partition.bundles)} bundles, instance has {inst.n} agents"
         )
-    if partition.items != frozenset(range(inst.m)):
+    # The bundles are disjoint sets of nonnegative ints (``Partition`` checks
+    # that), so they cover 0..m-1 exactly when their sizes sum to m and none
+    # holds an index of m or more.
+    m = inst.m
+    bundles = partition.bundles
+    if sum(map(len, bundles)) != m or max(map(max, filter(None, bundles)), default=-1) >= m:
         raise ValueError("partition does not cover the instance's items exactly")
 
 
@@ -372,21 +377,26 @@ def parse_partition(text: str, n: int | None = None, m: int | None = None) -> Pa
     if n is not None and len(lines) != n:
         raise ParseError(f"expected {n} bundle lines, found {len(lines)}")
     bundles = []
-    seen: set[int] = set()
+    seen: set[int] = set()  # the items of the lines so far
     for lineno, line in enumerate(lines, start=1):
-        bundle = set()
-        for tok in line.split():
-            j = _parse_int(tok, lineno)
-            if j < 1:
-                raise ParseError(f"line {lineno}: item indices are 1-based, got {j}")
-            if m is not None and j > m:
-                raise ParseError(f"line {lineno}: item index {j} exceeds item count {m}")
-            if j - 1 in seen:
-                raise ParseError(f"line {lineno}: item {j} appears twice")
-            seen.add(j - 1)
-            bundle.add(j - 1)
-        bundles.append(frozenset(bundle))
-    if m is not None and seen != set(range(m)):
+        # Convert and check the whole line at once; only a bad line takes the
+        # per-token path, which names its first bad token in line order.
+        tokens = line.split()
+        try:
+            bundle = frozenset([j - 1 for j in map(int, tokens)])
+        except ValueError:
+            bundle = None
+        if (
+            bundle is None
+            or len(bundle) != len(tokens)
+            or not seen.isdisjoint(bundle)
+            or (bundle and (min(bundle) < 0 or (m is not None and max(bundle) >= m)))
+        ):
+            bundle = _parse_bundle(tokens, lineno, seen, m)
+        seen |= bundle
+        bundles.append(bundle)
+    # The items lie in 0..m-1 and are distinct, so a count decides the cover.
+    if m is not None and len(seen) < m:
         missing = sorted(set(range(m)) - seen)
         raise ParseError(f"partition does not cover items: missing {[j + 1 for j in missing]}")
     return Partition(tuple(bundles))
@@ -407,6 +417,24 @@ def _parse_values(tokens: Sequence[str], lineno: int) -> tuple[int, ...]:
             raise ParseError(f"line {lineno}: negative value {v}")
         row.append(v)
     return tuple(row)
+
+
+def _parse_bundle(
+    tokens: Sequence[str], lineno: int, seen: set[int], m: int | None
+) -> frozenset[int]:
+    """One bundle line token by token; raises at the first bad token in line
+    order. ``seen`` holds the (0-based) items of the earlier lines."""
+    bundle: set[int] = set()
+    for tok in tokens:
+        j = _parse_int(tok, lineno)
+        if j < 1:
+            raise ParseError(f"line {lineno}: item indices are 1-based, got {j}")
+        if m is not None and j > m:
+            raise ParseError(f"line {lineno}: item index {j} exceeds item count {m}")
+        if j - 1 in seen or j - 1 in bundle:
+            raise ParseError(f"line {lineno}: item {j} appears twice")
+        bundle.add(j - 1)
+    return frozenset(bundle)
 
 
 def _parse_int(token: str, lineno: int) -> int:

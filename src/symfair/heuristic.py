@@ -127,9 +127,12 @@ class _Table:
         self.sums = [[0] * n for _ in range(n)]
         self.best = [[0] * n for _ in range(n)]
         self.second = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                self._rescan(i, k)
+        # An empty bundle's row entries are already 0; the greedy builder
+        # starts with every bundle empty.
+        for k, bundle in enumerate(self.bundles):
+            if bundle:
+                for i in range(n):
+                    self._rescan(i, k)
         self._ext: list[tuple] | None = None
         self._pairs: dict[tuple[int, int], tuple] = {}
 

@@ -222,6 +222,43 @@ def test_two_agent_partition_separates_both_agents_pairs():
         assert all(owner[u] != owner[v] for u, v in sf.build_item_graph(inst).edges)
 
 
+def _reference_two_agent_partition(inst):
+    """The stack walk over both agents' rank pairs that ``two_agent_partition``
+    must match: components in order of their lowest-index item, which gets
+    bundle 1."""
+    m = inst.m
+    partners = [[] for _ in range(m)]
+    for i in (0, 1):
+        order = sf.ranking(inst, i)
+        for a, b in zip(order[0::2], order[1::2]):
+            partners[a].append(b)
+            partners[b].append(a)
+    color = [-1] * m
+    for start in range(m):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in partners[u]:
+                if color[v] < 0:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+    return sf.Partition.from_labels(enumerate(color), 2)
+
+
+def test_two_agent_partition_matches_the_stack_walk():
+    # Bundle order matters too: solve prints the bundles in order. Small value
+    # ranges give many ties, so long paths and cycles of equal items.
+    rng = random.Random(2423)
+    for m in range(301):
+        for top in (1, 3, 10**4):
+            inst = rand_instance(rng, 2, m, top)
+            want = _reference_two_agent_partition(inst).bundles
+            assert sf.two_agent_partition(inst).bundles == want, inst
+
+
 def test_two_agent_partition_needs_two_agents():
     for rows in ([[1, 2, 3]], [[1, 2], [2, 1], [1, 1]]):
         with pytest.raises(ValueError, match="2 agents"):

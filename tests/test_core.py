@@ -167,6 +167,77 @@ def test_parse_partition_rejects_duplicates_and_bad_indices():
         sf.parse_partition("1\n2\n", n=3, m=2)
 
 
+def _reference_parse_partition(text, n=None, m=None):
+    """The token-by-token partition parser that ``parse_partition`` must match."""
+    lines = text.splitlines()
+    if n is not None and len(lines) != n:
+        raise sf.ParseError(f"expected {n} bundle lines, found {len(lines)}")
+    bundles = []
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        bundle = set()
+        for tok in line.split():
+            try:
+                j = int(tok)
+            except ValueError:
+                raise sf.ParseError(f"line {lineno}: not an integer: {tok!r}") from None
+            if j < 1:
+                raise sf.ParseError(f"line {lineno}: item indices are 1-based, got {j}")
+            if m is not None and j > m:
+                raise sf.ParseError(f"line {lineno}: item index {j} exceeds item count {m}")
+            if j - 1 in seen:
+                raise sf.ParseError(f"line {lineno}: item {j} appears twice")
+            seen.add(j - 1)
+            bundle.add(j - 1)
+        bundles.append(frozenset(bundle))
+    if m is not None and seen != set(range(m)):
+        missing = sorted(set(range(m)) - seen)
+        raise sf.ParseError(f"partition does not cover items: missing {[j + 1 for j in missing]}")
+    return sf.Partition(tuple(bundles))
+
+
+def test_parse_partition_matches_reference_parser():
+    # Partition files of random valid partitions, then damaged: odd tokens
+    # (int() accepts a sign, a leading zero and an underscore), duplicates,
+    # out-of-range and missing items, and a line too many or too few.
+    odd = ["0", "-1", "x", "1.5", "+2", "07", "3_0"]
+    rng = random.Random(2421)
+    outcomes = []
+    for _ in range(12_000):
+        n = rng.randint(1, 4)
+        m = rng.choice([rng.randint(0, 9), rng.randint(28, 32)])
+        lines = [[] for _ in range(n)]
+        for j in range(1, m + 1):
+            lines[rng.randrange(n)].append(str(j))
+        damage = rng.choice([0, 0, 1, 2, 3])
+        for _ in range(damage):
+            line = rng.choice(lines)
+            kind = rng.randrange(6)
+            if kind == 0:
+                line.insert(rng.randint(0, len(line)), rng.choice(odd))
+            elif kind == 1 and m:
+                rng.choice(lines).append(str(rng.randint(1, m)))
+            elif kind == 2:
+                line.insert(rng.randint(0, len(line)), str(m + rng.randint(1, 3)))
+            elif kind == 3 and line:
+                line.pop(rng.randrange(len(line)))
+            elif kind == 4:
+                lines.insert(rng.randint(0, len(lines)), [])
+            elif kind == 5 and len(lines) > 1:
+                lines.pop(rng.randrange(len(lines)))
+        for line in lines:
+            rng.shuffle(line)
+        text = "\n".join(rng.choice([" ", "  ", "\t"]).join(line) for line in lines) + "\n"
+        kwargs = {"n": rng.choice([n, None]), "m": rng.choice([m, m, None])}
+        want = _outcome(lambda t: _reference_parse_partition(t, **kwargs), text)
+        assert _outcome(lambda t: sf.parse_partition(t, **kwargs), text) == want, (text, kwargs)
+        outcomes.append(want if isinstance(want, str) else "Partition")
+    for kind in ("Partition", "bundle lines", "not an integer: 'x'", "not an integer: '1.5'",
+                 "1-based, got 0", "1-based, got -1", "exceeds item count", "appears twice",
+                 "missing"):
+        assert sum(kind in outcome for outcome in outcomes) >= 100, kind
+
+
 # ---------------------------------------------------------------------------
 # instance and partition invariants
 # ---------------------------------------------------------------------------
@@ -205,6 +276,44 @@ def test_validate_partition_needs_full_cover():
         sf.validate_partition(inst, sf.Partition.of({0, 1}))
     with pytest.raises(ValueError, match="cover"):
         sf.validate_partition(inst, sf.Partition.of({0}, set()))
+
+
+def _reference_validate_partition(inst, partition):
+    if len(partition.bundles) != inst.n:
+        raise ValueError(
+            f"partition has {len(partition.bundles)} bundles, instance has {inst.n} agents"
+        )
+    if partition.items != frozenset(range(inst.m)):
+        raise ValueError("partition does not cover the instance's items exactly")
+
+
+def test_validate_partition_matches_the_set_comparison():
+    # Random disjoint bundles drawn from 0..m+1 with items left out, so some
+    # cover exactly, some miss items, some hold m or m+1, and some have both.
+    rng = random.Random(2422)
+    verdicts = []
+    for _ in range(3000):
+        n, m = rng.randint(1, 4), rng.randint(0, 8)
+        inst = sf.Instance(n, m, ((0,) * m,) * n)
+        k = rng.choice([n, n, n, n + 1, max(n - 1, 1)])
+        pool = [j for j in range(m + 2) if rng.random() < 0.9]
+        pool = [j for j in pool if j < m or rng.random() < 0.3]
+        labels = [(j, rng.randrange(k)) for j in pool]
+        partition = sf.Partition.from_labels(labels, k)
+        want = _validation_error(_reference_validate_partition, inst, partition)
+        assert _validation_error(sf.validate_partition, inst, partition) == want, (m, partition)
+        verdicts.append(want)
+    assert verdicts.count(None) >= 300
+    assert sum("cover" in str(v) for v in verdicts) >= 300
+    assert sum("bundles" in str(v) for v in verdicts) >= 300
+
+
+def _validation_error(validate, inst, partition):
+    try:
+        validate(inst, partition)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
