@@ -23,7 +23,7 @@ import time
 from collections import Counter
 
 from symfair import Instance, SearchLimits
-from symfair.cli import AUTO_STAGES, _bind_engines, _solve_stage
+from symfair.cli import AUTO_STAGES, _bind, _solve_stage
 
 REPS = 3  # instances per row
 M_PER_N = (3, 50)  # the small and the large m, as multiples of n
@@ -47,7 +47,7 @@ def run_stages(inst: Instance) -> dict[str, tuple[float, str]]:
     for stage in AUTO_STAGES:
         t0 = time.process_time()
         with contextlib.redirect_stderr(io.StringIO()):
-            partition, token = _solve_stage(inst, stage, SearchLimits(), range(inst.m))
+            partition, token = _solve_stage(inst, stage, SearchLimits())
         out[stage] = (time.process_time() - t0, token if partition is None else ANSWERED)
         if stage == "constructive" and partition is not None:
             break
@@ -66,7 +66,8 @@ def under(order, stages) -> tuple[str, float]:
 
 
 def main() -> None:
-    _bind_engines()  # import the engines now, so no stage's time includes it
+    for module in ("constructive", "heuristic", "tuples", "exact"):
+        _bind(module)  # import the engines now, so no stage's time includes it
     columns = ["rows", "n", "m", "decided by (auto / exact first)",
                *(SHORT[s] for s in AUTO_STAGES), *ORDERS]
     print("| " + " | ".join(columns) + " |")

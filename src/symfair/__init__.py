@@ -5,7 +5,7 @@ sufficient condition, a greedy builder, complete search and enumeration, a
 maximum-Nash-welfare oracle, and a Monte-Carlo incidence study.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ _HOME = {
                   "first_symef1_violation", "first_symefx_violation", "format_partition",
                   "is_balanced", "is_ef1_satisfied", "is_symef1", "is_symefx",
                   "items_distinct", "max_item_value", "nash_welfare", "parse_instance",
-                  "parse_partition", "validate_partition")),
+                  "parse_partition", "ranking", "validate_partition")),
         ("exact", ("ExactOutcome", "ExactStatus", "canonical_partition",
                    "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
                    "max_nash_welfare", "naive_enumerate_symef1")),
@@ -35,7 +35,7 @@ _HOME = {
                  "run_simulation")),
         ("tuples", ("ItemGraph", "build_item_graph", "coloring_to_partition", "components",
                     "count_lower_bound", "graph_to_dot", "indexed_tuples", "k_color",
-                    "ranking", "separates_tuples")),
+                    "separates_tuples")),
     )
     for name in names
 }
@@ -45,12 +45,19 @@ _SUBMODULES = frozenset(_HOME.values())
 __all__ = sorted(_HOME)
 
 
+def _submodule(name: str):
+    # Through ``__import__``, which ``python -X importtime`` logs, where
+    # ``importlib.import_module`` would load the module without a log line.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_submodule(_HOME[name]), name)
     globals()[name] = value  # later lookups find it without this hook
     return value
 

@@ -15,6 +15,16 @@ format: a partition that ``check`` accepts only when k equals n.
 builder) before the exponential ones (exact coloring, complete search), in one
 order for every n; the closed form answers every two-agent instance, and only
 the complete search can report ``INFEASIBLE``.
+
+A command loads only the package modules it uses. ``check`` loads ``core``
+alone. ``solve`` loads each stage's engine just before the stage runs:
+``constructive`` for the closed form, ``heuristic`` for the greedy builder,
+``tuples`` for the coloring, and ``exact`` (which imports ``constructive`` and
+``heuristic``) for the complete search, so a solve that the closed form answers
+loads ``core`` and ``constructive`` only. ``graph`` and ``color`` load
+``tuples``; ``enumerate``, ``mnw`` and ``export-ip`` load ``exact``;
+``simulate`` loads ``sim``. The saving is mostly the time to compile a module's
+source, so it is smaller where bytecode caches are written and reused.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from typing import ContextManager, Iterator, Sequence, TextIO
 
-from . import __version__
+from . import _HOME, __version__
 from .core import (
     BudgetExceededError,
     Instance,
@@ -44,7 +54,8 @@ from .core import (
 )
 
 # The search engines' names, bound into this module from the package rather
-# than imported above, so that ``check`` starts without loading the engines.
+# than imported above: a command or solve stage binds those of the one package
+# module it needs (``_HOME`` names it) just before using them.
 _ENGINES = (
     "detect_groups", "grouped_allocation", "two_agent_partition",
     "ExactStatus", "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
@@ -59,23 +70,34 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
+# Package module -> its names in ``_ENGINES``, for the modules not bound yet.
+_UNBOUND = {
+    module: tuple(name for name in _ENGINES if _HOME[name] == module)
+    for module in map(_HOME.get, _ENGINES)
+}
 
-def _bind_engines() -> None:
-    """Bind every name of ``_ENGINES`` here from the package, keeping a name already set.
 
-    ``main`` calls it once for every command but ``check``. A name that is
-    already present, such as a test's or a tracer's patch, is never overwritten.
+def _bind(module: str) -> None:
+    """Bind the ``_ENGINES`` names of one package module here, keeping a name already set.
+
+    The first call for a module imports it; a repeat call returns at once. A
+    name that is already present, such as a test's or a tracer's patch, is
+    never overwritten.
     """
+    names = _UNBOUND.get(module)
+    if names is None:
+        return
     package = sys.modules[__package__]
-    names = globals()
-    for name in _ENGINES:
-        if name not in names:
-            names[name] = getattr(package, name)
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(package, name)
+    del _UNBOUND[module]
 
 
 def __getattr__(name: str):
     if name in _ENGINES:
-        _bind_engines()
+        _bind(_HOME[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -84,8 +106,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "check":
-            _bind_engines()
         return args.handler(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -257,13 +277,17 @@ def _cmd_check(args) -> int:
 
 
 def _solve_stage(
-    inst: Instance, stage: str, limits: SearchLimits, order: Sequence[int]
+    inst: Instance, stage: str, limits: SearchLimits, order: str = "index",
+    seed: int | None = None,
 ) -> tuple[Partition | None, str]:
-    """One stage attempt: (partition, status token). ``order`` is the greedy item order.
+    """One stage attempt: (partition, status token).
 
-    Callers bind the engine names first, through ``main`` or ``_bind_engines``.
+    ``order`` and ``seed`` choose the greedy builder's item order (``order_items``).
+    Each stage binds its engine's names first, so a solve loads no engine of a
+    stage it does not reach.
     """
     if stage == "constructive":
+        _bind("constructive")
         structure = detect_groups(inst)
         if structure is not None:
             partition = grouped_allocation(inst, structure)
@@ -273,6 +297,7 @@ def _solve_stage(
             return None, "NOT_APPLICABLE"
         return partition, "constructive (closed form)"
     if stage == "coloring":
+        _bind("tuples")
         try:
             coloring = k_color(build_item_graph(inst), inst.n, limits)
         except BudgetExceededError:
@@ -282,7 +307,8 @@ def _solve_stage(
         partition = coloring_to_partition(coloring, inst.n)
         return partition, "coloring (sufficient condition)"
     if stage == "heuristic":
-        result = greedy_symef1(inst, order)
+        _bind("heuristic")
+        result = greedy_symef1(inst, order_items(inst, order, seed))
         stats = result.stats
         print(
             f"case1={stats.placed_case1} case2={stats.placed_case2} "
@@ -292,6 +318,7 @@ def _solve_stage(
         if result.partition is None:
             return None, "NOT_FOUND"
         return result.partition, "heuristic (greedy search)"
+    _bind("exact")
     outcome = exact_symef1(inst, limits)
     if outcome.status is ExactStatus.FOUND:
         return outcome.partition, "exact (complete search)"
@@ -307,10 +334,9 @@ AUTO_STAGES = ("constructive", "heuristic", "coloring", "exact")
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     limits = _limits(args)
-    order = order_items(inst, args.order, args.seed)
     stages = AUTO_STAGES if args.strategy == "auto" else (args.strategy,)
     for stage in stages:
-        partition, token = _solve_stage(inst, stage, limits, order)
+        partition, token = _solve_stage(inst, stage, limits, args.order, args.seed)
         if partition is not None:
             _verify(inst, partition, stage)
             print(f"solved by: {token}", file=sys.stderr)
@@ -335,6 +361,7 @@ def _verify(inst: Instance, partition: Partition, stage: str) -> None:
 
 def _cmd_graph(args) -> int:
     inst = _read_instance(args.instance)
+    _bind("tuples")
     _write_out(args.out, graph_to_dot(build_item_graph(inst)))
     return EXIT_OK
 
@@ -344,6 +371,7 @@ def _cmd_color(args) -> int:
         raise ParseError("--k must be at least 1")
     limits = _limits(args)
     inst = _read_instance(args.instance)
+    _bind("tuples")
     coloring = k_color(build_item_graph(inst), args.k, limits)
     if coloring is None:
         print(f"INFEASIBLE k={args.k}")
@@ -358,6 +386,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     inst = _read_instance(args.instance)
+    _bind("exact")
     with _input_error():
         check_enumeration_guard(inst, args.force)
     partitions = enumerate_symef1(inst, _limits(args), force=args.force)
@@ -370,6 +399,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_mnw(args) -> int:
     inst = _read_instance(args.instance)
+    _bind("exact")
     with _input_error():
         check_enumeration_guard(inst, args.force)
     assignment = max_nash_welfare(inst, _limits(args), force=args.force)
@@ -380,6 +410,7 @@ def _cmd_mnw(args) -> int:
 
 def _cmd_export_ip(args) -> int:
     inst = _read_instance(args.instance)
+    _bind("exact")
     _write_out(args.out, export_ip(inst))
     return EXIT_OK
 

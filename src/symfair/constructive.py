@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .core import Instance, Partition, _Record, _set
-from .tuples import ranking
+from .core import Instance, Partition, _Record, _set, ranking
 
 
 class GroupStructure(_Record):

@@ -12,7 +12,7 @@ Items and agents are 0-based in code. The text file formats are 1-based.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Sequence
 
 
@@ -97,12 +97,20 @@ class Instance(_Record):
             raise ValueError("item count cannot be negative")
         if len(values) != n:
             raise ValueError(f"expected {n} value rows, got {len(values)}")
-        for row in values:
-            if len(row) != m:
-                raise ValueError(f"expected {m} columns, got {len(row)}")
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise ValueError(f"values must be nonnegative integers, got {v!r}")
+        # The whole matrix at once; the per-value loop runs only to name the
+        # first bad length or value in row order. A matrix with no values, or
+        # with an int subclass (not bool) among them, passes that loop too.
+        if not (
+            set(map(len, values)) == {m}
+            and set(map(type, chain.from_iterable(values))) == {int}
+            and min(map(min, values)) >= 0
+        ):
+            for row in values:
+                if len(row) != m:
+                    raise ValueError(f"expected {m} columns, got {len(row)}")
+                for v in row:
+                    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                        raise ValueError(f"values must be nonnegative integers, got {v!r}")
         _set(self, "n", n)
         _set(self, "m", m)
         _set(self, "values", values)
@@ -170,6 +178,13 @@ class Assignment(_Record):
             raise ValueError("owner must be a permutation of the bundle indices")
         _set(self, "partition", partition)
         _set(self, "owner", owner)
+
+
+def ranking(inst: Instance, i: int) -> tuple[int, ...]:
+    """Agent i's items sorted by descending value, ties by ascending index."""
+    row = inst.values[i]
+    # A reverse sort is stable too, so equal values keep ascending index.
+    return tuple(sorted(range(inst.m), key=row.__getitem__, reverse=True))
 
 
 def bundle_value(inst: Instance, i: int, items: Iterable[int]) -> int:

@@ -1,12 +1,12 @@
-"""Rankings, same-round item blocks, and the conflict graph they induce.
+"""Same-round item blocks of the agents' rankings, and the conflict graph they induce.
 
-Each agent's items are sorted by descending value and cut into consecutive
-blocks of size n (the last block may be shorter). A partition *separates*
-these blocks when no bundle holds two items from the same block of any agent.
-Separation is sufficient for symEF1, so an exact n-coloring of the conflict
-graph (one vertex per item, one edge per same-block pair) certifies existence
-and directly yields a witness partition. The converse does not hold: some
-instances are symEF1-solvable with a graph that is not n-colorable.
+Each agent's items are sorted by descending value (``core.ranking``) and cut
+into consecutive blocks of size n (the last block may be shorter). A partition
+*separates* these blocks when no bundle holds two items from the same block of
+any agent. Separation is sufficient for symEF1, so an exact n-coloring of the
+conflict graph (one vertex per item, one edge per same-block pair) certifies
+existence and directly yields a witness partition. The converse does not hold:
+some instances are symEF1-solvable with a graph that is not n-colorable.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import math
 import time
 from heapq import heapify, heappop, heappush
 
-from .core import BudgetExceededError, Instance, Partition, SearchLimits, _Record, _set
+from .core import BudgetExceededError, Instance, Partition, SearchLimits, _Record, _set, ranking
 
-Ranking = tuple[int, ...]
 IndexedTuples = tuple[tuple[frozenset[int], ...], ...]
 
 
@@ -43,13 +42,6 @@ class ItemGraph(_Record):
         for neighbors in adj:
             neighbors.sort()
         return adj
-
-
-def ranking(inst: Instance, i: int) -> Ranking:
-    """Agent i's items sorted by descending value, ties by ascending index."""
-    row = inst.values[i]
-    # A reverse sort is stable too, so equal values keep ascending index.
-    return tuple(sorted(range(inst.m), key=row.__getitem__, reverse=True))
 
 
 def indexed_tuples(inst: Instance) -> IndexedTuples:

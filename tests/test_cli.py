@@ -550,14 +550,22 @@ def _added_modules(code):
 def test_check_loads_no_engine_and_no_command_loads_dataclasses(files):
     inst = files("inst.txt", CLIQUE)
     part = files("part.txt", "1 6\n3 5\n2 4\n")
-    run = "from symfair.cli import main\nassert main({!r}) == 0"
-    check = _added_modules(run.format(["check", inst, part]))
+    run = "from symfair.cli import main\nassert main({!r}) == {}"
+    check = _added_modules(run.format(["check", inst, part], 0))
     assert "symfair.core" in check
     assert not check & {"symfair.exact", "symfair.heuristic", "symfair.tuples",
                         "symfair.constructive", "symfair.sim", "dataclasses", "inspect", "numpy"}
-    solve = _added_modules(run.format(["solve", inst]))
-    assert "symfair.exact" in solve
-    assert not solve & {"dataclasses", "inspect", "numpy", "symfair.sim"}
+    # A solve loads the engines of the stages it runs and no others.
+    engines = {"symfair.constructive", "symfair.heuristic", "symfair.tuples", "symfair.exact"}
+    for text, code, loads in (
+        (CLIQUE, 0, {"symfair.constructive", "symfair.heuristic"}),  # the greedy builder
+        (WELFARE, 0, {"symfair.constructive"}),  # two agents: the closed form
+        (BLOCKER, 1, engines),  # infeasible: every stage runs
+    ):
+        solve = _added_modules(run.format(["solve", files("solve.txt", text)], code))
+        assert {name for name in solve if name.startswith("symfair.")} == {
+            "symfair.cli", "symfair.core", *loads}
+        assert not solve & {"dataclasses", "inspect", "numpy"}
 
 
 def test_engine_bind_keeps_a_patched_name(files):
@@ -586,8 +594,8 @@ def test_engine_bind_keeps_a_patched_name(files):
 
 
 def test_engine_names_bind_once_in_main_and_never_for_check(files):
-    # The engine names come from the package's one name table; main binds them
-    # for every command but check, which must load no engine.
+    # The engine names come from the package's one name table; a command binds
+    # only those of the module it uses (graph: tuples), and check binds none.
     inst = files("inst.txt", CLIQUE)
     part = files("part.txt", "1 6\n3 5\n2 4\n")
     script = (
@@ -600,9 +608,12 @@ def test_engine_names_bind_once_in_main_and_never_for_check(files):
         "if command[0] == 'check':\n"
         "    assert bound == [], bound\n"
         "else:\n"
-        "    assert bound == list(c._ENGINES), bound\n"
-        "    for name in c._ENGINES:\n"
+        "    tuples = ['build_item_graph', 'coloring_to_partition', 'graph_to_dot', 'k_color']\n"
+        "    assert bound == tuples, bound\n"
+        "    assert all(symfair._HOME[name] == 'tuples' for name in bound)\n"
+        "    for name in bound:\n"
         "        assert vars(c)[name] is getattr(symfair, name), name\n"
+        "    assert 'tuples' not in c._UNBOUND and len(c._UNBOUND) == 3\n"
     )
     for command in (["graph", inst], ["check", inst, part]):
         result = subprocess.run(

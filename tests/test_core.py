@@ -254,6 +254,56 @@ def test_instance_rejects_bad_shapes_and_values():
         sf.Instance(1, 2, ((1, 2.5),))
 
 
+class _Int(int):
+    pass
+
+
+def _reference_instance_check(n, m, values):
+    """The per-value loop ``Instance`` ran on every matrix before its whole-matrix test."""
+    if len(values) != n:
+        raise ValueError(f"expected {n} value rows, got {len(values)}")
+    for row in values:
+        if len(row) != m:
+            raise ValueError(f"expected {m} columns, got {len(row)}")
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError(f"values must be nonnegative integers, got {v!r}")
+
+
+def _instance_error(make, *args):
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_instance_matches_the_per_value_loop():
+    # Seeded matrices, some with planted bad values (bool, float, str, a
+    # negative) or an accepted int subclass, and some with a long row.
+    rng = random.Random(2201)
+    planted = [True, False, 1.0, 2.5, "3", -1, -7, _Int(4), _Int(0)]
+    verdicts = []
+    for _ in range(4000):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        rows = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if m:
+                rows[rng.randrange(n)][rng.randrange(m)] = rng.choice(planted)
+        if rng.random() < 0.1:
+            rows[rng.randrange(n)].append(1)
+        values = tuple(map(tuple, rows))
+        want = _instance_error(_reference_instance_check, n, m, values)
+        assert _instance_error(sf.Instance, n, m, values) == want, values
+        if want is None:
+            assert sf.Instance(n, m, values).values is values
+        verdicts.append(want)
+    assert verdicts.count(None) >= 1000
+    for fragment in ("got True", "got False", "got 1.0", "got '3'", "got -1", "columns"):
+        assert any(fragment in str(v) for v in verdicts), fragment
+    assert sf.Instance(1, 2, ((_Int(1), 2),)).values == ((1, 2),)
+
+
 def test_partition_rejects_overlap():
     with pytest.raises(ValueError, match="disjoint"):
         sf.Partition.of({0, 1}, {1, 2})
