@@ -6,8 +6,8 @@ with the default budgets, and prints a Markdown table. A row gives, for each
 order, which stage decides; the CPU milliseconds of each stage, summed over
 the row's instances; and those of `solve` under each order, which runs the
 stages up to the one that decides. The orders are the one `auto` uses,
-constructive -> heuristic -> coloring -> exact ("auto"), and constructive ->
-exact ("exact first").
+constructive -> heuristic -> exact ("auto"), and constructive -> exact
+("exact first").
 
     PYTHONPATH=src python scripts/stage_costs.py
 
@@ -31,8 +31,8 @@ N = range(2, 9)
 
 ORDERS = {"auto": AUTO_STAGES, "exact first": ("constructive", "exact")}
 ANSWERED = "answered"
-SHORT = {"constructive": "constr.", "heuristic": "greedy", "coloring": "coloring",
-         "exact": "exact", "INFEASIBLE": "infeasible", "BUDGET_EXCEEDED": "budget"}
+SHORT = {"constructive": "constr.", "heuristic": "greedy", "exact": "exact",
+         "INFEASIBLE": "infeasible", "BUDGET_EXCEEDED": "budget"}
 
 
 def draw(rows: str, n: int, m: int, r: int) -> Instance:
@@ -66,7 +66,7 @@ def under(order, stages) -> tuple[str, float]:
 
 
 def main() -> None:
-    for module in ("constructive", "heuristic", "tuples", "exact"):
+    for module in ("constructive", "heuristic", "exact"):
         _bind(module)  # import the engines now, so no stage's time includes it
     columns = ["rows", "n", "m", "decided by (auto / exact first)",
                *(SHORT[s] for s in AUTO_STAGES), *ORDERS]

@@ -24,13 +24,13 @@ _HOME = {
                   "SearchLimits", "bundle_value", "first_ef1_violation",
                   "first_symef1_violation", "first_symefx_violation", "format_partition",
                   "is_balanced", "is_ef1_satisfied", "is_symef1", "is_symefx",
-                  "items_distinct", "max_item_value", "nash_welfare", "parse_instance",
-                  "parse_partition", "ranking", "validate_partition")),
+                  "items_distinct", "max_item_value", "nash_welfare", "order_items",
+                  "parse_instance", "parse_partition", "ranking", "validate_partition")),
         ("exact", ("ExactOutcome", "ExactStatus", "canonical_partition",
                    "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
                    "max_nash_welfare", "naive_enumerate_symef1")),
         ("heuristic", ("HeuristicResult", "HeuristicStats", "extend_allocation",
-                       "greedy_symef1", "order_items")),
+                       "greedy_symef1")),
         ("sim", ("SimConfig", "SimReport", "emit_csv", "random_instance", "replication_seed",
                  "run_simulation")),
         ("tuples", ("ItemGraph", "build_item_graph", "coloring_to_partition", "components",

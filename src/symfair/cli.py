@@ -11,20 +11,19 @@ the n-line file format, so their output pipes straight back into ``check``;
 diagnostics (provenance, heuristic stats, welfare, progress) go to stderr.
 ``color --k`` prints its k color classes, one per line, in the same 1-based
 format: a partition that ``check`` accepts only when k equals n.
-``solve --strategy=auto`` runs the polynomial stages (closed form, greedy
-builder) before the exponential ones (exact coloring, complete search), in one
-order for every n; the closed form answers every two-agent instance, and only
-the complete search can report ``INFEASIBLE``.
+``solve --strategy=auto`` runs the closed form, the greedy builder and then the
+complete search, in that order for every n; the closed form answers every
+two-agent instance, and only the complete search can report ``INFEASIBLE``.
+``--strategy=coloring`` alone runs the exact coloring, a sufficient condition.
 
 A command loads only the package modules it uses. ``check`` loads ``core``
 alone. ``solve`` loads each stage's engine just before the stage runs:
-``constructive`` for the closed form, ``heuristic`` for the greedy builder,
-``tuples`` for the coloring, and ``exact`` (which imports ``constructive`` and
-``heuristic``) for the complete search, so a solve that the closed form answers
-loads ``core`` and ``constructive`` only. ``graph`` and ``color`` load
-``tuples``; ``enumerate``, ``mnw`` and ``export-ip`` load ``exact``;
-``simulate`` loads ``sim``. The saving is mostly the time to compile a module's
-source, so it is smaller where bytecode caches are written and reused.
+``constructive`` (closed form), ``heuristic`` (greedy builder), ``exact``
+(complete search; it imports only ``core``) or ``tuples`` (coloring), so no
+``auto`` solve loads ``tuples``. ``graph`` and ``color`` load ``tuples``;
+``enumerate``, ``mnw`` and ``export-ip`` load ``exact``; ``simulate`` loads
+``sim``. The saving is mostly the time to compile a module's source, so it is
+smaller where bytecode caches are written and reused.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .core import (
     is_balanced,
     is_symef1,
     nash_welfare,
+    order_items,
     parse_instance,
     parse_partition,
 )
@@ -60,7 +60,7 @@ _ENGINES = (
     "detect_groups", "grouped_allocation", "two_agent_partition",
     "ExactStatus", "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
     "max_nash_welfare",
-    "greedy_symef1", "order_items",
+    "greedy_symef1",
     "build_item_graph", "coloring_to_partition", "graph_to_dot", "k_color",
 )
 
@@ -298,14 +298,10 @@ def _solve_stage(
         return partition, "constructive (closed form)"
     if stage == "coloring":
         _bind("tuples")
-        try:
-            coloring = k_color(build_item_graph(inst), inst.n, limits)
-        except BudgetExceededError:
-            return None, "BUDGET_EXCEEDED"
+        coloring = k_color(build_item_graph(inst), inst.n, limits)
         if coloring is None:
             return None, "NOT_APPLICABLE"
-        partition = coloring_to_partition(coloring, inst.n)
-        return partition, "coloring (sufficient condition)"
+        return coloring_to_partition(coloring, inst.n), "coloring (sufficient condition)"
     if stage == "heuristic":
         _bind("heuristic")
         result = greedy_symef1(inst, order_items(inst, order, seed))
@@ -327,8 +323,8 @@ def _solve_stage(
     return None, "BUDGET_EXCEEDED"
 
 
-# Polynomial stages first, then the exponential ones; the same order for every n.
-AUTO_STAGES = ("constructive", "heuristic", "coloring", "exact")
+# The polynomial stages, then the complete search; the same order for every n.
+AUTO_STAGES = ("constructive", "heuristic", "exact")
 
 
 def _cmd_solve(args) -> int:

@@ -187,6 +187,22 @@ def ranking(inst: Instance, i: int) -> tuple[int, ...]:
     return tuple(sorted(range(inst.m), key=row.__getitem__, reverse=True))
 
 
+def order_items(inst: Instance, mode: str = "index", seed: int | None = None) -> tuple[int, ...]:
+    """Item orders exposed on the command line; success can depend on order."""
+    if mode == "index":
+        return tuple(range(inst.m))
+    if mode == "desc-total-value":
+        totals = [sum(inst.values[i][j] for i in range(inst.n)) for j in range(inst.m)]
+        return tuple(sorted(range(inst.m), key=lambda j: (-totals[j], j)))
+    if mode == "random":
+        import random  # here, so that loading core does not load it
+
+        order = list(range(inst.m))
+        random.Random(seed).shuffle(order)
+        return tuple(order)
+    raise ValueError(f"unknown item order {mode!r}")
+
+
 def bundle_value(inst: Instance, i: int, items: Iterable[int]) -> int:
     """Agent i's additive value for a set of items (0 for the empty set)."""
     row = inst.values[_check_agent(inst, i)]

@@ -123,9 +123,8 @@ from .core import (
     _Record,
     _set,
     is_symef1,
+    order_items,
 )
-from .constructive import two_agent_partition
-from .heuristic import order_items
 
 
 class ExactStatus(Enum):
@@ -461,6 +460,8 @@ def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOut
     except BudgetExceededError:
         if inst.n != 2:
             return ExactOutcome(ExactStatus.BUDGET_EXCEEDED, None, searcher.nodes)
+        from .constructive import two_agent_partition
+
         partition = two_agent_partition(inst)
     if partition is None:
         return ExactOutcome(ExactStatus.PROVED_INFEASIBLE, None, searcher.nodes)

@@ -52,7 +52,6 @@ is the one a full scan finds.
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from collections import deque
 from itertools import product
@@ -358,17 +357,3 @@ def greedy_symef1(inst: Instance, item_order: Sequence[int] | None = None) -> He
     """
     order = range(inst.m) if item_order is None else item_order
     return extend_allocation(inst, [()] * inst.n, order)
-
-
-def order_items(inst: Instance, mode: str = "index", seed: int | None = None) -> tuple[int, ...]:
-    """Item orders exposed on the command line; success can depend on order."""
-    if mode == "index":
-        return tuple(range(inst.m))
-    if mode == "desc-total-value":
-        totals = [sum(inst.values[i][j] for i in range(inst.n)) for j in range(inst.m)]
-        return tuple(sorted(range(inst.m), key=lambda j: (-totals[j], j)))
-    if mode == "random":
-        order = list(range(inst.m))
-        random.Random(seed).shuffle(order)
-        return tuple(order)
-    raise ValueError(f"unknown item order {mode!r}")

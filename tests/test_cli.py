@@ -165,8 +165,8 @@ def test_solve_coloring_three_agents_m_300_not_applicable(files, capsys):
 def test_coloring_out_of_budget(files, capsys):
     # A uniform 3x60 conflict graph is not 3-colorable. When k_color runs out
     # of budget, the coloring stage alone and `color` exit 3. The auto call
-    # checks that the greedy builder answers first; the budget fall-through
-    # from coloring to the exact stage is test_auto_goes_on_to_exact_when_coloring_runs_out.
+    # checks that the greedy builder answers first; auto's own budget exit is
+    # test_auto_budget_runs_out_in_the_complete_search.
     path, inst = _uniform_file(files, random.Random(60), 3, 60)
     assert main(["solve", path, "--strategy=coloring"]) == 1
     assert capsys.readouterr().out == "NOT_APPLICABLE\n"
@@ -198,20 +198,29 @@ def test_auto_runs_greedy_before_coloring(files, capsys, monkeypatch):
     assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 300))
 
 
-def test_auto_colors_where_greedy_fails(files, capsys):
+def test_auto_searches_where_greedy_fails(files, capsys, monkeypatch):
+    # Where the greedy builder fails, auto goes on to the complete search and
+    # prints its first witness; the coloring search never starts.
     path = files("miss.txt", GREEDY_MISS)
     assert main(["solve", path, "--strategy=heuristic"]) == 1
     assert capsys.readouterr().out == "NOT_FOUND\n"
+
+    def refuse(*args):
+        raise AssertionError("k_color called by solve --strategy=auto")
+
+    monkeypatch.setattr("symfair.cli.k_color", refuse)
     assert main(["solve", path]) == 0
     captured = capsys.readouterr()
-    assert "solved by: coloring" in captured.err
+    assert "solved by: exact (complete search)" in captured.err
     inst = sf.parse_instance(GREEDY_MISS)
+    assert captured.out == sf.format_partition(sf.exact_symef1(inst).partition)
     assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 5))
 
 
-def test_auto_goes_on_to_exact_when_coloring_runs_out(files, capsys, monkeypatch):
-    # The coloring stage runs out of budget and auto goes on to the exact
-    # stage, which runs out too, and solve reports that (exit 3).
+def test_auto_budget_runs_out_in_the_complete_search(files, capsys, monkeypatch):
+    # The coloring stage alone runs out of budget (exit 3). In auto the
+    # complete search is the one stage with a budget: it runs out once, and
+    # solve reports that (exit 3).
     path = files("miss.txt", GREEDY_MISS)
     assert main(["solve", path, "--strategy=coloring", "--node-budget=1"]) == 3
     assert capsys.readouterr().out == "BUDGET_EXCEEDED\n"
@@ -480,7 +489,7 @@ def test_parser_built_once_without_state_between_calls(files, capsys, monkeypatc
     assert main(["solve", path, "--strategy=exact", "--node-budget=1"]) == 3
     capsys.readouterr()
     assert main(["solve", path]) == 0
-    assert "solved by: coloring" in capsys.readouterr().err
+    assert "solved by: exact" in capsys.readouterr().err
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert len(parsed) == 2 and parsed[0] is not parsed[1]
@@ -555,17 +564,24 @@ def test_check_loads_no_engine_and_no_command_loads_dataclasses(files):
     assert "symfair.core" in check
     assert not check & {"symfair.exact", "symfair.heuristic", "symfair.tuples",
                         "symfair.constructive", "symfair.sim", "dataclasses", "inspect", "numpy"}
-    # A solve loads the engines of the stages it runs and no others.
-    engines = {"symfair.constructive", "symfair.heuristic", "symfair.tuples", "symfair.exact"}
-    for text, code, loads in (
-        (CLIQUE, 0, {"symfair.constructive", "symfair.heuristic"}),  # the greedy builder
-        (WELFARE, 0, {"symfair.constructive"}),  # two agents: the closed form
-        (BLOCKER, 1, engines),  # infeasible: every stage runs
+    # A solve loads the engines of the stages it runs and no others; auto never
+    # runs the coloring, and the complete search imports only core.
+    blocker = files("blocker.txt", BLOCKER)
+    lp = os.path.join(os.path.dirname(blocker), "model.lp")
+    for argv, code, loads in (
+        (["solve", files("solve.txt", CLIQUE)], 0,
+         {"symfair.constructive", "symfair.heuristic"}),  # the greedy builder
+        (["solve", files("two.txt", WELFARE)], 0,
+         {"symfair.constructive"}),  # two agents: the closed form
+        (["solve", blocker], 1,
+         {"symfair.constructive", "symfair.heuristic", "symfair.exact"}),  # infeasible
+        (["export-ip", blocker, f"--out={lp}"], 0, {"symfair.exact"}),
+        (["enumerate", blocker], 0, {"symfair.exact"}),
     ):
-        solve = _added_modules(run.format(["solve", files("solve.txt", text)], code))
-        assert {name for name in solve if name.startswith("symfair.")} == {
-            "symfair.cli", "symfair.core", *loads}
-        assert not solve & {"dataclasses", "inspect", "numpy"}
+        loaded = _added_modules(run.format(argv, code))
+        assert {name for name in loaded if name.startswith("symfair.")} == {
+            "symfair.cli", "symfair.core", *loads}, argv
+        assert not loaded & {"dataclasses", "inspect", "numpy"}, argv
 
 
 def test_engine_bind_keeps_a_patched_name(files):
@@ -601,7 +617,7 @@ def test_engine_names_bind_once_in_main_and_never_for_check(files):
     script = (
         "import sys, symfair, symfair.cli as c\n"
         "assert set(c._ENGINES) <= set(symfair.__all__), set(c._ENGINES) - set(symfair.__all__)\n"
-        "assert len(c._ENGINES) == len(set(c._ENGINES)) == 15\n"
+        "assert len(c._ENGINES) == len(set(c._ENGINES)) == 14\n"
         "command = sys.argv[1:]\n"
         "assert c.main(command) == 0\n"
         "bound = [name for name in c._ENGINES if name in vars(c)]\n"
