@@ -22,8 +22,9 @@ import random
 import time
 from collections import Counter
 
+import symfair
 from symfair import Instance, SearchLimits
-from symfair.cli import AUTO_STAGES, _bind, _solve_stage
+from symfair.cli import AUTO_STAGES, _solve_stage
 
 REPS = 3  # instances per row
 M_PER_N = (3, 50)  # the small and the large m, as multiples of n
@@ -67,7 +68,7 @@ def under(order, stages) -> tuple[str, float]:
 
 def main() -> None:
     for module in ("constructive", "heuristic", "exact"):
-        _bind(module)  # import the engines now, so no stage's time includes it
+        getattr(symfair, module)  # import the engines now, so no stage's time includes it
     columns = ["rows", "n", "m", "decided by (auto / exact first)",
                *(SHORT[s] for s in AUTO_STAGES), *ORDERS]
     print("| " + " | ".join(columns) + " |")

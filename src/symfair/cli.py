@@ -16,8 +16,10 @@ complete search, in that order for every n; the closed form answers every
 two-agent instance, and only the complete search can report ``INFEASIBLE``.
 ``--strategy=coloring`` alone runs the exact coloring, a sufficient condition.
 
-A command loads only the package modules it uses. ``check`` loads ``core``
-alone. ``solve`` loads each stage's engine just before the stage runs:
+A command loads only the package modules it uses. It looks each engine name up
+on this module (``_engines.k_color``); the first lookup of a name takes it from
+the package, which imports the name's module, and keeps it here. ``check``
+loads ``core`` alone. ``solve`` loads each stage's engine when the stage runs:
 ``constructive`` (closed form), ``heuristic`` (greedy builder), ``exact``
 (complete search; it imports only ``core``) or ``tuples`` (coloring), so no
 ``auto`` solve loads ``tuples``. ``graph`` and ``color`` load ``tuples``;
@@ -53,53 +55,25 @@ from .core import (
     parse_partition,
 )
 
-# The search engines' names, bound into this module from the package rather
-# than imported above: a command or solve stage binds those of the one package
-# module it needs (``_HOME`` names it) just before using them.
-_ENGINES = (
-    "detect_groups", "grouped_allocation", "two_agent_partition",
-    "ExactStatus", "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
-    "max_nash_welfare",
-    "greedy_symef1",
-    "build_item_graph", "coloring_to_partition", "graph_to_dot", "k_color",
-)
-
 EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# Package module -> its names in ``_ENGINES``, for the modules not bound yet.
-_UNBOUND = {
-    module: tuple(name for name in _ENGINES if _HOME[name] == module)
-    for module in map(_HOME.get, _ENGINES)
-}
-
-
-def _bind(module: str) -> None:
-    """Bind the ``_ENGINES`` names of one package module here, keeping a name already set.
-
-    The first call for a module imports it; a repeat call returns at once. A
-    name that is already present, such as a test's or a tracer's patch, is
-    never overwritten.
-    """
-    names = _UNBOUND.get(module)
-    if names is None:
-        return
-    package = sys.modules[__package__]
-    scope = globals()
-    for name in names:
-        if name not in scope:
-            scope[name] = getattr(package, name)
-    del _UNBOUND[module]
-
-
 def __getattr__(name: str):
-    if name in _ENGINES:
-        _bind(_HOME[name])
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: runs only for a name not set here, so a test's or a tracer's
+    # patch is found first and never overwritten.
+    if _HOME.get(name) not in ("constructive", "exact", "heuristic", "tuples"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+# Every engine call goes through this module, so a name's first lookup runs
+# ``__getattr__`` and imports its engine. Under ``python -m symfair.cli`` this
+# is ``__main__`` itself, not a second copy of the module.
+_engines = sys.modules[__name__]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -283,28 +257,25 @@ def _solve_stage(
     """One stage attempt: (partition, status token).
 
     ``order`` and ``seed`` choose the greedy builder's item order (``order_items``).
-    Each stage binds its engine's names first, so a solve loads no engine of a
-    stage it does not reach.
+    A stage looks up its engine's names only when it runs, so a solve loads no
+    engine of a stage it does not reach.
     """
     if stage == "constructive":
-        _bind("constructive")
-        structure = detect_groups(inst)
+        structure = _engines.detect_groups(inst)
         if structure is not None:
-            partition = grouped_allocation(inst, structure)
+            partition = _engines.grouped_allocation(inst, structure)
         elif inst.n == 2:
-            partition = two_agent_partition(inst)
+            partition = _engines.two_agent_partition(inst)
         else:
             return None, "NOT_APPLICABLE"
         return partition, "constructive (closed form)"
     if stage == "coloring":
-        _bind("tuples")
-        coloring = k_color(build_item_graph(inst), inst.n, limits)
+        coloring = _engines.k_color(_engines.build_item_graph(inst), inst.n, limits)
         if coloring is None:
             return None, "NOT_APPLICABLE"
-        return coloring_to_partition(coloring, inst.n), "coloring (sufficient condition)"
+        return _engines.coloring_to_partition(coloring, inst.n), "coloring (sufficient condition)"
     if stage == "heuristic":
-        _bind("heuristic")
-        result = greedy_symef1(inst, order_items(inst, order, seed))
+        result = _engines.greedy_symef1(inst, order_items(inst, order, seed))
         stats = result.stats
         print(
             f"case1={stats.placed_case1} case2={stats.placed_case2} "
@@ -314,11 +285,10 @@ def _solve_stage(
         if result.partition is None:
             return None, "NOT_FOUND"
         return result.partition, "heuristic (greedy search)"
-    _bind("exact")
-    outcome = exact_symef1(inst, limits)
-    if outcome.status is ExactStatus.FOUND:
+    outcome = _engines.exact_symef1(inst, limits)
+    if outcome.status is _engines.ExactStatus.FOUND:
         return outcome.partition, "exact (complete search)"
-    if outcome.status is ExactStatus.PROVED_INFEASIBLE:
+    if outcome.status is _engines.ExactStatus.PROVED_INFEASIBLE:
         return None, "INFEASIBLE"
     return None, "BUDGET_EXCEEDED"
 
@@ -357,8 +327,7 @@ def _verify(inst: Instance, partition: Partition, stage: str) -> None:
 
 def _cmd_graph(args) -> int:
     inst = _read_instance(args.instance)
-    _bind("tuples")
-    _write_out(args.out, graph_to_dot(build_item_graph(inst)))
+    _write_out(args.out, _engines.graph_to_dot(_engines.build_item_graph(inst)))
     return EXIT_OK
 
 
@@ -367,14 +336,13 @@ def _cmd_color(args) -> int:
         raise ParseError("--k must be at least 1")
     limits = _limits(args)
     inst = _read_instance(args.instance)
-    _bind("tuples")
-    coloring = k_color(build_item_graph(inst), args.k, limits)
+    coloring = _engines.k_color(_engines.build_item_graph(inst), args.k, limits)
     if coloring is None:
         print(f"INFEASIBLE k={args.k}")
         return EXIT_UNSAT
     # Bundles for the used colors only (one if m = 0), then blank lines in chunks.
     used = max(coloring, default=1)
-    sys.stdout.write(format_partition(coloring_to_partition(coloring, used)))
+    sys.stdout.write(format_partition(_engines.coloring_to_partition(coloring, used)))
     for start in range(used, args.k, 65536):
         sys.stdout.write("\n" * min(65536, args.k - start))
     return EXIT_OK
@@ -382,10 +350,9 @@ def _cmd_color(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     inst = _read_instance(args.instance)
-    _bind("exact")
     with _input_error():
-        check_enumeration_guard(inst, args.force)
-    partitions = enumerate_symef1(inst, _limits(args), force=args.force)
+        _engines.check_enumeration_guard(inst, args.force)
+    partitions = _engines.enumerate_symef1(inst, _limits(args), force=args.force)
     rendered = sorted(_render_bundles(p) for p in partitions)
     for line in rendered:
         print(line)
@@ -395,10 +362,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_mnw(args) -> int:
     inst = _read_instance(args.instance)
-    _bind("exact")
     with _input_error():
-        check_enumeration_guard(inst, args.force)
-    assignment = max_nash_welfare(inst, _limits(args), force=args.force)
+        _engines.check_enumeration_guard(inst, args.force)
+    assignment = _engines.max_nash_welfare(inst, _limits(args), force=args.force)
     sys.stdout.write(format_partition(assignment.partition))
     print(f"nash_welfare={nash_welfare(inst, assignment)}", file=sys.stderr)
     return EXIT_OK
@@ -406,8 +372,7 @@ def _cmd_mnw(args) -> int:
 
 def _cmd_export_ip(args) -> int:
     inst = _read_instance(args.instance)
-    _bind("exact")
-    _write_out(args.out, export_ip(inst))
+    _write_out(args.out, _engines.export_ip(inst))
     return EXIT_OK
 
 

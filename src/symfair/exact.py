@@ -579,9 +579,9 @@ def max_nash_welfare(
     while True:
         leaves += 1
         if leaves > limits.node_budget:
-            raise BudgetExceededError("node budget exhausted")
+            raise BudgetExceededError(f"node budget {limits.node_budget} exhausted")
         if leaves % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("time budget exhausted")
+            raise BudgetExceededError(f"time budget {limits.time_budget}s exhausted")
         served = sum(1 for t in totals if t > 0)
         product = math.prod(t for t in totals if t > 0)
         key = (served, product)

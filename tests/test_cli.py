@@ -184,14 +184,14 @@ def test_coloring_out_of_budget(files, capsys):
 GREEDY_MISS = "3 5\n8 10 10 1 0\n2 5 0 5 9\n2 7 6 10 3\n"
 
 
-def test_auto_runs_greedy_before_coloring(files, capsys, monkeypatch):
-    # Where the greedy builder answers, the coloring search never starts.
+def test_auto_stops_at_the_greedy_builder(files, capsys, monkeypatch):
+    # Where the greedy builder answers, the complete search never starts.
     path, inst = _uniform_file(files, random.Random(41), 3, 300)
 
     def refuse(*args):
-        raise AssertionError("k_color called although the greedy builder answered")
+        raise AssertionError("exact_symef1 called although the greedy builder answered")
 
-    monkeypatch.setattr("symfair.cli.k_color", refuse)
+    monkeypatch.setattr("symfair.cli.exact_symef1", refuse)
     assert main(["solve", path]) == 0
     captured = capsys.readouterr()
     assert "solved by: heuristic" in captured.err
@@ -564,8 +564,9 @@ def test_check_loads_no_engine_and_no_command_loads_dataclasses(files):
     assert "symfair.core" in check
     assert not check & {"symfair.exact", "symfair.heuristic", "symfair.tuples",
                         "symfair.constructive", "symfair.sim", "dataclasses", "inspect", "numpy"}
-    # A solve loads the engines of the stages it runs and no others; auto never
-    # runs the coloring, and the complete search imports only core.
+    # Every other command loads the engines it uses and no others: a solve, those
+    # of the stages it runs; auto never runs the coloring, and the complete
+    # search imports only core.
     blocker = files("blocker.txt", BLOCKER)
     lp = os.path.join(os.path.dirname(blocker), "model.lp")
     for argv, code, loads in (
@@ -577,6 +578,9 @@ def test_check_loads_no_engine_and_no_command_loads_dataclasses(files):
          {"symfair.constructive", "symfair.heuristic", "symfair.exact"}),  # infeasible
         (["export-ip", blocker, f"--out={lp}"], 0, {"symfair.exact"}),
         (["enumerate", blocker], 0, {"symfair.exact"}),
+        (["mnw", blocker], 0, {"symfair.exact"}),
+        (["graph", blocker], 0, {"symfair.tuples"}),
+        (["color", blocker, "--k=5"], 0, {"symfair.tuples"}),
     ):
         loaded = _added_modules(run.format(argv, code))
         assert {name for name in loaded if name.startswith("symfair.")} == {
@@ -610,26 +614,21 @@ def test_engine_bind_keeps_a_patched_name(files):
 
 
 def test_engine_names_bind_once_in_main_and_never_for_check(files):
-    # The engine names come from the package's one name table; a command binds
-    # only those of the module it uses (graph: tuples), and check binds none.
+    # A command keeps here the engine names it looked up, each the package's
+    # own object, and no other: graph uses two, check none.
     inst = files("inst.txt", CLIQUE)
     part = files("part.txt", "1 6\n3 5\n2 4\n")
     script = (
         "import sys, symfair, symfair.cli as c\n"
-        "assert set(c._ENGINES) <= set(symfair.__all__), set(c._ENGINES) - set(symfair.__all__)\n"
-        "assert len(c._ENGINES) == len(set(c._ENGINES)) == 14\n"
+        "engines = {'constructive', 'exact', 'heuristic', 'tuples'}\n"
         "command = sys.argv[1:]\n"
         "assert c.main(command) == 0\n"
-        "bound = [name for name in c._ENGINES if name in vars(c)]\n"
-        "if command[0] == 'check':\n"
-        "    assert bound == [], bound\n"
-        "else:\n"
-        "    tuples = ['build_item_graph', 'coloring_to_partition', 'graph_to_dot', 'k_color']\n"
-        "    assert bound == tuples, bound\n"
-        "    assert all(symfair._HOME[name] == 'tuples' for name in bound)\n"
-        "    for name in bound:\n"
-        "        assert vars(c)[name] is getattr(symfair, name), name\n"
-        "    assert 'tuples' not in c._UNBOUND and len(c._UNBOUND) == 3\n"
+        "bound = sorted(name for name, home in symfair._HOME.items()\n"
+        "               if home in engines and name in vars(c))\n"
+        "expected = {'check': [], 'graph': ['build_item_graph', 'graph_to_dot']}[command[0]]\n"
+        "assert bound == expected, bound\n"
+        "for name in bound:\n"
+        "    assert vars(c)[name] is getattr(symfair, name), name\n"
     )
     for command in (["graph", inst], ["check", inst, part]):
         result = subprocess.run(

@@ -523,6 +523,19 @@ def test_mnw_node_budget_checked_at_every_leaf():
         sf.max_nash_welfare(inst, sf.SearchLimits(node_budget=5, time_budget=60.0))
 
 
+def test_every_engine_names_the_node_budget_it_ran_out_of():
+    # Budgets mean the same thing in every engine, and each says which one ran out.
+    inst = rand_instance(random.Random(38), 3, 4, 20)
+    limits = sf.SearchLimits(node_budget=1)
+    for search in (
+        lambda: sf.enumerate_symef1(inst, limits),
+        lambda: sf.max_nash_welfare(inst, limits),
+        lambda: sf.k_color(sf.build_item_graph(inst), 3, limits),
+    ):
+        with pytest.raises(sf.BudgetExceededError, match="^node budget 1 exhausted$"):
+            search()
+
+
 def test_mnw_tie_breaks_lexicographically():
     inst = sf.Instance.from_rows([[1, 1], [1, 1]])
     assignment = sf.max_nash_welfare(inst)
