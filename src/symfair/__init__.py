@@ -9,8 +9,8 @@ import sys
 
 __version__ = "0.1.0"
 
-# Every public name, and the submodule that defines it; ``cli`` binds its engine
-# names from here too, so this is the one such table. A name, or a submodule
+# Every public name, and the submodule that defines it; ``cli`` looks up each
+# engine name here on its first use, so this is the one such table. A name, or a submodule
 # as an attribute of the package, is imported on first access, so
 # ``symfair.cli check`` loads only ``core``, and nothing loads ``sim`` (which
 # needs numpy, slower to import than the rest of the package together) until
@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("constructive", ("GroupStructure", "agent_round_robin", "detect_groups",
-                          "grouped_allocation", "two_agent_partition")),
+        ("constructive", ("agent_round_robin", "detect_groups", "grouped_allocation",
+                          "two_agent_partition")),
         ("core", ("Assignment", "BudgetExceededError", "Instance", "ParseError", "Partition",
                   "SearchLimits", "bundle_value", "first_ef1_violation",
                   "first_symef1_violation", "first_symefx_violation", "format_partition",

@@ -261,9 +261,8 @@ def _solve_stage(
     engine of a stage it does not reach.
     """
     if stage == "constructive":
-        structure = _engines.detect_groups(inst)
-        if structure is not None:
-            partition = _engines.grouped_allocation(inst, structure)
+        if _engines.detect_groups(inst) is not None:
+            partition = _engines.grouped_allocation(inst)
         elif inst.n == 2:
             partition = _engines.two_agent_partition(inst)
         else:

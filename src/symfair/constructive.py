@@ -11,19 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .core import Instance, Partition, _Record, _set, ranking
-
-
-class GroupStructure(_Record):
-    """Agents grouped by identical value rows, with each group's nonzero items."""
-
-    __slots__ = ("groups", "supports")
-
-    def __init__(
-        self, groups: tuple[tuple[int, ...], ...], supports: tuple[frozenset[int], ...]
-    ) -> None:
-        _set(self, "groups", groups)
-        _set(self, "supports", supports)
+from .core import Instance, Partition, ranking
 
 
 def agent_round_robin(inst: Instance, i: int) -> Partition:
@@ -36,45 +24,41 @@ def agent_round_robin(inst: Instance, i: int) -> Partition:
     return Partition.from_labels(((j, rank % n) for rank, j in enumerate(ranking(inst, i))), n)
 
 
-def detect_groups(inst: Instance) -> GroupStructure | None:
-    """Group agents by exact row equality; None unless supports are disjoint.
+def detect_groups(inst: Instance) -> tuple[tuple[int, ...], ...] | None:
+    """Agents grouped by exact row equality, in order of first appearance.
 
-    Disjointness fails exactly when two agents with different rows both place
-    nonzero value on a common item, in which case the grouped construction
-    does not apply.
+    None unless the groups' supports are disjoint: disjointness fails exactly
+    when two agents with different rows both place nonzero value on a common
+    item, in which case the grouped construction does not apply.
     """
     row_to_agents: dict[tuple[int, ...], list[int]] = {}
     for i in range(inst.n):
         row_to_agents.setdefault(inst.values[i], []).append(i)
-    rows = list(row_to_agents)
-    # Values are nonnegative, so bool(v) is v > 0. Stop at the first item two
-    # distinct rows both value, before building any support.
-    for column in zip(*rows):
+    # Values are nonnegative, so bool(v) is v > 0.
+    for column in zip(*row_to_agents):
         if sum(map(bool, column)) > 1:
             return None
-    groups = tuple(tuple(agents) for agents in row_to_agents.values())
-    supports = tuple(frozenset(j for j, v in enumerate(row) if v > 0) for row in rows)
-    return GroupStructure(groups, supports)
+    return tuple(tuple(agents) for agents in row_to_agents.values())
 
 
-def grouped_allocation(inst: Instance, structure: GroupStructure) -> Partition:
+def grouped_allocation(inst: Instance) -> Partition:
     """Index-wise union of each group's round robin over its own support.
 
-    Items no group values go to bundle 1; they change no inequality, and a
-    fixed rule keeps the output deterministic. Raises ValueError unless
-    ``structure`` is the (non-None) result of ``detect_groups(inst)``.
+    A group's support is its positive items, which lead its ranking. Items no
+    group values go to bundle 1; they change no inequality, and a fixed rule
+    keeps the output deterministic. Raises ValueError when
+    ``detect_groups(inst)`` is None.
     """
-    if structure is None or structure != detect_groups(inst):
-        raise ValueError("structure is not detect_groups(inst)")
+    groups = detect_groups(inst)
+    if groups is None:
+        raise ValueError("the grouped construction does not apply: distinct rows share an item")
     n = inst.n
-    # The support is the group's positive items, which lead its ranking.
-    labels = [
-        (item, rank % n)
-        for agents, support in zip(structure.groups, structure.supports)
-        for rank, item in enumerate(ranking(inst, agents[0])[: len(support)])
-    ]
-    unsupported = set(range(inst.m)).difference(*structure.supports)
-    return Partition.from_labels(labels + [(j, 0) for j in unsupported], n)
+    labels = [0] * inst.m
+    for agents in groups:
+        row = inst.values[agents[0]]
+        for rank, item in enumerate(ranking(inst, agents[0])[: sum(map(bool, row))]):
+            labels[item] = rank % n
+    return Partition.from_labels(enumerate(labels), n)
 
 
 def two_agent_partition(inst: Instance) -> Partition:

@@ -405,6 +405,9 @@ def test_export_ip_writes_file(files, tmp_path, capsys):
     assert text.startswith("Minimize") and text.rstrip().endswith("End")
     assert "x_3_4" in text
     capsys.readouterr()
+    # Without --out the model goes to stdout, also when there are no items.
+    assert main(["export-ip", files("empty.txt", "2 0\n")]) == 0
+    assert capsys.readouterr().out == "Minimize\n obj:\nSubject To\nEnd\n"
 
 
 def test_simulate_small_grid(files, tmp_path, capsys):
@@ -514,6 +517,7 @@ def test_import_leaves_numpy_unloaded():
     script = (
         "import sys, symfair, symfair.cli\n"
         "assert symfair.exact.exact_symef1 is symfair.exact_symef1\n"
+        "assert symfair.tuples is sys.modules['symfair.tuples']\n"
         "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
         "assert symfair.random_instance is symfair.sim.random_instance\n"
         "assert symfair.SimConfig.__name__ == 'SimConfig'\n"
@@ -534,6 +538,8 @@ def test_package_serves_every_public_name():
     for name in sf.__all__:
         assert namespace[name] is getattr(sf, name)
         assert name in dir(sf)
+    for module in sf._SUBMODULES:
+        assert sf.__getattr__(module) is sys.modules[f"symfair.{module}"]
     with pytest.raises(AttributeError):
         sf.no_such_name
 
@@ -639,13 +645,22 @@ def test_engine_names_bind_once_in_main_and_never_for_check(files):
 
 
 def test_solve_unverified_partition_exits_4(files, capsys, monkeypatch):
+    # A partition the check refuses, and one with a bundle count the check
+    # raises ValueError on (one bundle for two agents), are both internal errors.
     inst = files("inst.txt", WELFARE)
-    monkeypatch.setattr("symfair.cli.is_symef1", lambda inst, partition: False)
-    assert main(["solve", inst, "--strategy=heuristic"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("internal error: RuntimeError: the heuristic")
-    assert "Traceback" not in captured.err
+    one_bundle = sf.HeuristicResult(sf.Partition.of(set(range(6))), sf.HeuristicStats())
+    for target, fake in (("symfair.cli.is_symef1", lambda inst, partition: False),
+                         ("symfair.cli.greedy_symef1", lambda inst, order: one_bundle)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, fake)
+            assert main(["solve", inst, "--strategy=heuristic"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "internal error: RuntimeError: "
+            "the heuristic stage returned a partition that is not symEF1"
+        )
+        assert "Traceback" not in captured.err
 
 
 def test_solve_verification_survives_optimized_mode(files):

@@ -43,9 +43,7 @@ def test_round_robin_owner_accepts_every_bundle():
 
 def test_detect_groups_identical_pair():
     inst = sf.Instance.from_rows([[1, 2, 3], [1, 2, 3]])
-    gs = sf.detect_groups(inst)
-    assert gs.groups == ((0, 1),)
-    assert gs.supports == (frozenset({0, 1, 2}),)
+    assert sf.detect_groups(inst) == ((0, 1),)
 
 
 def test_detect_groups_block_diagonal():
@@ -55,9 +53,7 @@ def test_detect_groups_block_diagonal():
             [0, 0, 2, 9],
         ]
     )
-    gs = sf.detect_groups(inst)
-    assert gs.groups == ((0,), (1,))
-    assert gs.supports == (frozenset({0, 1}), frozenset({2, 3}))
+    assert sf.detect_groups(inst) == ((0,), (1,))
 
 
 def test_detect_groups_rejects_overlap():
@@ -70,7 +66,6 @@ def _reference_detect_groups(inst):
     for i in range(inst.n):
         row_to_agents.setdefault(inst.values[i], []).append(i)
     groups = []
-    supports = []
     claimed = set()
     for row, agents in row_to_agents.items():
         support = frozenset(j for j in range(inst.m) if row[j] > 0)
@@ -78,8 +73,19 @@ def _reference_detect_groups(inst):
             return None
         claimed.update(support)
         groups.append(tuple(agents))
-        supports.append(support)
-    return sf.GroupStructure(tuple(groups), tuple(supports))
+    return tuple(groups)
+
+
+def _reference_grouped_allocation(inst, groups):
+    """The grouped round robin from scratch: each group's representative ranks
+    its positive items, labelled by rank mod n; unvalued items go to bundle 1."""
+    labels = {j: 0 for j in range(inst.m)}
+    for agents in groups:
+        row = inst.values[agents[0]]
+        positive = sorted((j for j in range(inst.m) if row[j] > 0), key=lambda j: (-row[j], j))
+        for rank, j in enumerate(positive):
+            labels[j] = rank % inst.n
+    return sf.Partition.from_labels(labels.items(), inst.n)
 
 
 def test_detect_groups_matches_reference():
@@ -114,18 +120,22 @@ def test_detect_groups_matches_reference():
         want = _reference_detect_groups(inst)
         assert sf.detect_groups(inst) == want, rows
         kinds["None" if want is None else "groups"] += 1
+        if want is None:
+            with pytest.raises(ValueError):
+                sf.grouped_allocation(inst)
+        else:
+            assert sf.grouped_allocation(inst) == _reference_grouped_allocation(inst, want), rows
     assert min(kinds.values()) >= 300, kinds
 
 
 def test_grouped_allocation_single_group_matches_round_robin():
     inst = sf.Instance.from_rows([[9, 4, 7, 2]] * 3)
-    gs = sf.detect_groups(inst)
-    assert sf.grouped_allocation(inst, gs) == sf.agent_round_robin(inst, 0)
+    assert sf.grouped_allocation(inst) == sf.agent_round_robin(inst, 0)
 
 
 def test_grouped_allocation_zero_items_go_to_first_bundle():
     inst = sf.Instance.from_rows([[9, 0, 7, 0], [9, 0, 7, 0]])
-    p = sf.grouped_allocation(inst, sf.detect_groups(inst))
+    p = sf.grouped_allocation(inst)
     assert 1 in p.bundles[0] and 3 in p.bundles[0]
     assert sf.is_symef1(inst, p)
 
@@ -138,9 +148,8 @@ def test_grouped_allocation_block_instance_is_symef1():
             [0, 0, 0, 4, 4, 2],
         ]
     )
-    gs = sf.detect_groups(inst)
-    assert gs is not None
-    p = sf.grouped_allocation(inst, gs)
+    assert sf.detect_groups(inst) is not None
+    p = sf.grouped_allocation(inst)
     assert sf.is_symef1(inst, p)
     assert p.items == frozenset(range(6))
 
@@ -162,12 +171,11 @@ def test_grouped_allocation_random_group_structures():
         for g, size in enumerate(group_sizes):
             rows.extend([group_rows[g]] * size)
         inst = sf.Instance.from_rows(rows)
-        gs = sf.detect_groups(inst)
-        if gs is None:
+        if sf.detect_groups(inst) is None:
             # Two groups drew identical all-zero rows or equal rows; then they
             # merged, never overlapped, so detection cannot return None here.
             raise AssertionError("disjoint construction must be detected")
-        p = sf.grouped_allocation(inst, gs)
+        p = sf.grouped_allocation(inst)
         assert sf.is_symef1(inst, p)
 
 
@@ -178,9 +186,8 @@ def test_two_agent_binary_pipeline():
     for _ in range(200):
         m = rng.randint(1, 12)
         inst = rand_instance(rng, 2, m, 1)
-        gs = sf.detect_groups(inst)
-        if gs is not None:
-            p = sf.grouped_allocation(inst, gs)
+        if sf.detect_groups(inst) is not None:
+            p = sf.grouped_allocation(inst)
         else:
             coloring = sf.k_color(sf.build_item_graph(inst), 2)
             assert coloring is not None
@@ -188,25 +195,15 @@ def test_two_agent_binary_pipeline():
         assert sf.is_symef1(inst, p)
 
 
-def test_grouped_allocation_validates_structure():
-    inst = sf.Instance.from_rows([[1, 2], [2, 1]])
-    bad = sf.GroupStructure(groups=((0, 1),), supports=(frozenset({0, 1}),))
-    with pytest.raises(ValueError):
-        sf.grouped_allocation(inst, bad)
+def test_grouped_allocation_refuses_overlapping_rows():
+    with pytest.raises(ValueError, match="does not apply"):
+        sf.grouped_allocation(sf.Instance.from_rows([[1, 2], [2, 1]]))
 
 
-def test_grouped_allocation_takes_only_the_detected_structure():
-    # Reversed groups are a valid grouping with the same partition, but only
-    # detect_groups(inst) itself is accepted; None never is.
+def test_grouped_allocation_on_groups_in_first_appearance_order():
     inst = sf.Instance.from_rows([[5, 3, 0, 0], [0, 0, 4, 2], [5, 3, 0, 0]])
-    gs = sf.detect_groups(inst)
-    assert gs.groups == ((0, 2), (1,))
-    reversed_groups = sf.GroupStructure(gs.groups[::-1], gs.supports[::-1])
-    with pytest.raises(ValueError):
-        sf.grouped_allocation(inst, reversed_groups)
-    assert sf.is_symef1(inst, sf.grouped_allocation(inst, gs))
-    with pytest.raises(ValueError):
-        sf.grouped_allocation(sf.Instance.from_rows([[1, 2], [2, 1]]), None)
+    assert sf.detect_groups(inst) == ((0, 2), (1,))
+    assert sf.is_symef1(inst, sf.grouped_allocation(inst))
 
 
 def test_two_agent_partition_separates_both_agents_pairs():

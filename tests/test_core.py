@@ -117,14 +117,15 @@ def _outcome(parse, text):
 
 def test_parse_instance_matches_reference_parser():
     # Mostly valid values, with the tokens int() treats specially (a sign, an
-    # underscore, -0) and bad ones (negative, non-integer) at random positions.
+    # underscore, -0) and bad ones (negative, non-integer) at random positions,
+    # under a header that now and then has no agents or a negative item count.
     odd = ["+5", "1_0", "-0", "-1", "-3", "x", "1.5"]
     rng = random.Random(2406)
     outcomes = []
     for _ in range(3000):
         n, m = rng.randint(1, 3), rng.randint(0, 5)
         bad_share = rng.choice([0.0, 0.05, 0.2, 0.5])
-        lines = [f"{n} {m}"]
+        lines = [rng.choice([f"0 {m}", f"{n} -1"]) if rng.random() < 0.1 else f"{n} {m}"]
         for _ in range(n + rng.choice([0, 0, 0, -1, 1])):
             width = m if rng.random() < 0.9 else m + rng.choice([-1, 1])
             tokens = [
@@ -138,7 +139,8 @@ def test_parse_instance_matches_reference_parser():
         want = _outcome(_reference_parse_instance, text)
         assert _outcome(sf.parse_instance, text) == want, text
         outcomes.append(want if isinstance(want, str) else "Instance")
-    for kind in ("Instance", "negative value -3", "not an integer: 'x'", "not an integer: '1.5'"):
+    for kind in ("Instance", "negative value -3", "not an integer: 'x'", "not an integer: '1.5'",
+                 "agent count must be at least 1", "item count cannot be negative"):
         assert sum(kind in outcome for outcome in outcomes) >= 100, kind
 
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
@@ -523,9 +525,10 @@ def test_mnw_node_budget_checked_at_every_leaf():
         sf.max_nash_welfare(inst, sf.SearchLimits(node_budget=5, time_budget=60.0))
 
 
-def test_every_engine_names_the_node_budget_it_ran_out_of():
+def test_every_engine_names_the_node_budget_it_ran_out_of(monkeypatch):
     # Budgets mean the same thing in every engine, and each says which one ran out.
-    inst = rand_instance(random.Random(38), 3, 4, 20)
+    rng = random.Random(38)
+    inst = rand_instance(rng, 3, 4, 20)
     limits = sf.SearchLimits(node_budget=1)
     for search in (
         lambda: sf.enumerate_symef1(inst, limits),
@@ -533,6 +536,19 @@ def test_every_engine_names_the_node_budget_it_ran_out_of():
         lambda: sf.k_color(sf.build_item_graph(inst), 3, limits),
     ):
         with pytest.raises(sf.BudgetExceededError, match="^node budget 1 exhausted$"):
+            search()
+    # A clock one second on at each reading has passed a 0.5 s deadline by the
+    # first time check, at node 4096; each search below has more nodes than that.
+    identical = sf.Instance.from_rows(rand_instance(rng, 1, 12, 20).values * 3)
+    path = sf.ItemGraph(5000, tuple((v, v + 1) for v in range(4999)))
+    limits = sf.SearchLimits(time_budget=0.5)
+    for module, search in (
+        ("symfair.exact", lambda: sf.enumerate_symef1(identical, limits)),
+        ("symfair.exact", lambda: sf.max_nash_welfare(rand_instance(rng, 2, 12, 20), limits)),
+        ("symfair.tuples", lambda: sf.k_color(path, 2, limits)),
+    ):
+        monkeypatch.setattr(f"{module}.time", SimpleNamespace(monotonic=count().__next__))
+        with pytest.raises(sf.BudgetExceededError, match=r"^time budget 0\.5s exhausted$"):
             search()
 
 
@@ -564,6 +580,9 @@ def test_export_ip_tiny_dimensions():
     assert _count_rows(text, "ef1_") == 4
     assert text.startswith("Minimize\n obj: 0 x_1_1\n")
     assert text.rstrip().endswith("End")
+    # With no items there are no variables and no rows.
+    for n in (1, 2, 3):
+        assert sf.export_ip(sf.Instance(n, 0, ((),) * n)) == "Minimize\n obj:\nSubject To\nEnd\n"
 
 
 def test_export_ip_blocker_variable_counts():

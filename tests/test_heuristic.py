@@ -279,6 +279,8 @@ def test_extend_allocation_validates_inputs():
     inst = sf.Instance.from_rows([[5, 1], [1, 5]])
     with pytest.raises(ValueError, match="partition the item set"):
         sf.extend_allocation(inst, [{0}, set()], [0, 1])
+    with pytest.raises(ValueError, match="one bundle per agent"):
+        sf.extend_allocation(inst, [set()], [0, 1])
     repeated = sf.Instance.from_rows([[0, 4, 10, 10, 9], [4, 10, 3, 8, 8]])
     with pytest.raises(ValueError, match="partition the item set"):
         sf.extend_allocation(repeated, [set(), set()], [0, 1, 3, 2, 3, 4])

@@ -91,12 +91,6 @@ class RefItemGraph:
 
 
 @dataclass(frozen=True)
-class RefGroupStructure:
-    groups: tuple
-    supports: tuple
-
-
-@dataclass(frozen=True)
 class RefExactOutcome:
     status: sf.ExactStatus
     partition: RefPartition | None
@@ -116,8 +110,8 @@ class RefHeuristicResult:
     stats: RefHeuristicStats
 
 
-NAMES = ("SearchLimits", "Instance", "Partition", "Assignment", "ItemGraph", "GroupStructure",
-         "ExactOutcome", "HeuristicStats", "HeuristicResult")
+NAMES = ("SearchLimits", "Instance", "Partition", "Assignment", "ItemGraph", "ExactOutcome",
+         "HeuristicStats", "HeuristicResult")
 NEW = SimpleNamespace(**{name: getattr(sf, name) for name in NAMES})
 REF = SimpleNamespace(**{name: globals()["Ref" + name] for name in NAMES})
 
@@ -157,7 +151,6 @@ CASES = {
     "graph": lambda C: C.ItemGraph(3, ((0, 1), (1, 2))),
     "graph-bad-edge": lambda C: C.ItemGraph(3, ((1, 0),)),
     "graph-duplicate": lambda C: C.ItemGraph(3, ((0, 1), (0, 1))),
-    "groups": lambda C: C.GroupStructure(((0, 1), (2,)), (frozenset({0}), frozenset({1}))),
     "outcome-found": lambda C: C.ExactOutcome(FOUND, C.Partition(P), 12),
     "outcome-none": lambda C: C.ExactOutcome(sf.ExactStatus.BUDGET_EXCEEDED, None, nodes=3),
     "stats-defaults": lambda C: C.HeuristicStats(),

@@ -14,6 +14,8 @@ def test_random_instance_zero_max_value():
     inst = sf.random_instance(3, 4, 0, seed=1)
     assert all(v == 0 for row in inst.values for v in row)
     assert sf.is_symef1(inst, sf.Partition.of({0, 1, 2, 3}, set(), set()))
+    with pytest.raises(ValueError, match="nonnegative"):
+        sf.random_instance(3, 4, -1, seed=1)
 
 
 def test_random_instance_deterministic_in_seed():
