@@ -89,19 +89,16 @@ the child's counts only once the child has passed every per-agent test
 a run of cut children in one step, so node counts and budget stops are those
 of a walk that places each child and tests it from scratch.
 
-The cover test raises only entries at 1, each by one, so it can cut a child
-only if the child's count, plus one for each of its other entries at 1,
-exceeds the items left. A node runs the test, for all its bundles at once,
-the first time a child that passed every other test meets that condition;
-the raised entries go into the node's counts, so they also cut its later
-children. A node that never meets it cuts the same children as one that
-runs the test up front, and its descendants run the test themselves where
-it can cut (a test that fails at a node fails at its descendants too). A
-query costs one binary search and one AND per short agent. An agent's table,
-built on its first query in a search, lists its values sorted with prefix
-bitmasks of their depths, so the items worth at least g_i to it are one
-prefix mask; b fails when the AND of these masks over its short agents and
-the mask of the depths after d is 0.
+A node with an entry at 1 runs the cover test on entry, after the drops
+merge and before it scores any child, for all its bundles at once, and
+raises the failed entries to 2 in its own counts. A child that puts item d
+into a raised bundle k recomputes entry k, so its bound room + need[k],
+taken after the raise, is exactly that the child's counts fit in the items
+left. A query costs one binary search and one AND per short agent. An
+agent's table, built on its first query in a search, lists its values
+sorted with prefix bitmasks of their depths, so the items worth at least g_i
+to it are one prefix mask; b fails when the AND of these masks over its
+short agents and the mask of the depths after d is 0.
 """
 
 from __future__ import annotations
@@ -241,10 +238,9 @@ class _Searcher:
 
         tables = [None] * n  # cover_table(i), built on agent i's first cover query
 
-        def raise_uncovered(d: int, need: list[int]) -> list[int]:
-            """Set need[b] = 2 where the cover test fails; return those bundles."""
+        def raise_uncovered(d: int, need: list[int]) -> None:
+            """Set need[b] = 2 where the cover test fails."""
             later = (1 << (m - 1 - d)) - 1  # the depths after d
-            raised = []
             b = 0
             for c in need:
                 if c == 1:
@@ -259,12 +255,9 @@ class _Searcher:
                             negs, masks = table
                             free &= masks[bisect_right(negs, y - w)]
                             if not free:
-                                raised.append(b)
+                                need[b] = 2
                                 break
                 b += 1
-            for b in raised:
-                need[b] = 2
-            return raised
 
         def score(d: int, kids: list[int], base: list[int], need: list[int]) -> Iterator:
             """Cut the node's children that fail a test; yield the rest in order.
@@ -272,7 +265,9 @@ class _Searcher:
             ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)),
             and ``need[b]`` bundle b's item count max_i ceil((worst_i -
             v_i(A_b)) / top_i) at the node's own depth, or 2 where the cover
-            test failed here or above; the node owns ``need``.
+            test failed above. The node owns ``need``: before it scores the
+            first child, it merges the drops into it and raises the entries
+            that fail the cover test here.
             """
             col = cols[d]
             rem = remaining[d + 1]
@@ -290,11 +285,11 @@ class _Searcher:
                             if q > need[b]:
                                 need[b] = q
                         b += 1
+            if 1 in need:
+                raise_uncovered(d, need)
             # A child in bundle k is cut once it needs more than room + need[k]
             # items there: the other bundles' entries only rise.
             room = m - d - 1 - sum(need)
-            # Entries at 1, which the cover test may raise to 2; 0 once it ran.
-            ones = need.count(1)
             step = 0
             for k in kids:
                 step += 1
@@ -349,10 +344,10 @@ class _Searcher:
                 else:
                     child = need.copy()
                     child[k] = nk
-                    over = nk - most
                     if rising:
                         # Merge the rising agents' terms last, once the child
                         # has passed every per-agent test (their bundle k term is 0).
+                        over = nk - most
                         for i, t in rising:
                             u = up[i]
                             b = 0
@@ -363,17 +358,6 @@ class _Searcher:
                                         over += q - child[b]
                                         child[b] = q
                                 b += 1
-                        if over > 0:
-                            continue
-                    if ones and over + child.count(1) - (nk == 1) > 0:
-                        # The cover test could cut this child: run it, once per node.
-                        ones = 0
-                        raised = raise_uncovered(d, need)
-                        room -= len(raised)
-                        for b in raised:
-                            if b != k and child[b] == 1:
-                                child[b] = 2
-                                over += 1
                         if over > 0:
                             continue
                     yield step, k, deficits, child

@@ -185,17 +185,20 @@ GREEDY_MISS = "3 5\n8 10 10 1 0\n2 5 0 5 9\n2 7 6 10 3\n"
 
 
 def test_auto_stops_at_the_greedy_builder(files, capsys, monkeypatch):
-    # Where the greedy builder answers, the complete search never starts.
-    path, inst = _uniform_file(files, random.Random(41), 3, 300)
-
+    # Where the greedy builder answers, the complete search never starts. On
+    # the 3x150 draw the builder gets stuck in index order and answers in
+    # descending total value order, so auto must hand --order to it.
     def refuse(*args):
         raise AssertionError("exact_symef1 called although the greedy builder answered")
 
     monkeypatch.setattr("symfair.cli.exact_symef1", refuse)
-    assert main(["solve", path]) == 0
-    captured = capsys.readouterr()
-    assert "solved by: heuristic" in captured.err
-    assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 300))
+    for seed, m, options in ((41, 300, []),
+                             ("stage:uniform:3:150:2", 150, ["--order=desc-total-value"])):
+        path, inst = _uniform_file(files, random.Random(seed), 3, m)
+        assert main(["solve", path, *options]) == 0
+        captured = capsys.readouterr()
+        assert "solved by: heuristic" in captured.err
+        assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, m))
 
 
 def test_auto_searches_where_greedy_fails(files, capsys, monkeypatch):

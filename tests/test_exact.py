@@ -140,8 +140,8 @@ class _ReferenceSearcher(sf.exact._Searcher):
     child from scratch. It also keeps the mean-share test (worst_i above
     floor(total_i / n)) that the engine leaves to the deficit test, so the
     match shows that the engine's two tests cut the same children. It runs
-    the cover test at every node, before placing the node's children, where
-    the engine runs it only once a child could be cut by it.
+    the cover test at every node, before placing the node's children, as the
+    engine does when it enters a node.
     """
 
     item_count = True  # run the item-count test after the per-agent tests
