@@ -151,7 +151,8 @@ def check_enumeration_guard(inst: Instance, force: bool = False) -> None:
     """Raise ValueError when n^m exceeds the guard and ``force`` is not set."""
     if not force and inst.n**inst.m > ENUMERATION_GUARD:
         raise ValueError(
-            f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; pass force=True"
+            f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; "
+            "pass force=True (--force on the command line)"
         )
 
 

@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -84,31 +85,17 @@ def random_instance(n: int, m: int, M: int, seed) -> Instance:
     return Instance.from_rows(matrix.tolist())
 
 
-def _run_block(args) -> tuple[int, int, int, int, int, int]:
-    """Replications [r_lo, r_hi) of one cell; returns summed counters only.
-
-    ``successes`` counts the greedy builder's; every other replication fell
-    back to the complete search.
-    """
-    n, m, M, master_seed, r_lo, r_hi, limits = args
-    found = excluded = successes = 0
-    case1 = case2 = case3 = 0
-    for r in range(r_lo, r_hi):
-        inst = random_instance(n, m, M, replication_seed(master_seed, n, m, M, r))
-        result = greedy_symef1(inst)
-        if result.found:
-            found += 1
-            successes += 1
-            case1 += result.stats.placed_case1
-            case2 += result.stats.placed_case2
-            case3 += result.stats.placed_case3
-        else:
-            outcome = exact_symef1(inst, limits)
-            if outcome.status is ExactStatus.FOUND:
-                found += 1
-            elif outcome.status is ExactStatus.BUDGET_EXCEEDED:
-                excluded += 1
-    return found, excluded, successes, case1, case2, case3
+def _run_replication(args) -> tuple[int, int, int, int, int, int]:
+    """Replication r of one cell as (found, excluded, greedy success, case1,
+    case2, case3); the complete search runs only where the greedy builder fails."""
+    n, m, M, master_seed, r, limits = args
+    inst = random_instance(n, m, M, replication_seed(master_seed, n, m, M, r))
+    result = greedy_symef1(inst)
+    if result.found:
+        stats = result.stats
+        return 1, 0, 1, stats.placed_case1, stats.placed_case2, stats.placed_case3
+    status = exact_symef1(inst, limits).status
+    return int(status is ExactStatus.FOUND), int(status is ExactStatus.BUDGET_EXCEEDED), 0, 0, 0, 0
 
 
 def run_simulation(
@@ -118,11 +105,12 @@ def run_simulation(
 ) -> list[SimReport]:
     """One report per (n, m, M) cell, in cross-product order.
 
-    Replications run in parallel blocks; the counters are integer sums, so the
-    aggregate is identical for any worker count or block split. ``workers``
-    defaults to the CPU count; a value below 1 raises ValueError. No more
-    processes start than there are CPUs or replications. Each cell's summary,
-    and a warning for a cell with budget-exceeded replications, go to ``progress``.
+    Each task is one replication; the pool hands them out in chunks, a few per
+    worker. The counters are integer sums, so the aggregate is identical for
+    any worker count or chunk size. ``workers`` defaults to the CPU count; a
+    value below 1 raises ValueError. No more processes start than there are
+    CPUs or replications. Each cell's summary, and a warning for a cell with
+    budget-exceeded replications, go to ``progress``.
     """
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else workers
@@ -131,15 +119,16 @@ def run_simulation(
     reports = []
     # The pool forks all its workers at once; past the CPUs or replications they only wait.
     workers = min(workers, cpus, cfg.replications)
-    blocks = _split_blocks(cfg.replications, workers)
+    # A few chunks per worker keeps the pool busy when replication runtimes differ.
+    chunksize = -(-cfg.replications // (4 * workers))
     # One pool serves every cell, so its start-up is paid once per run.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
+        run = partial(pool.map, chunksize=chunksize) if pool else map
         for n, m, M in product(cfg.n_list, cfg.m_list, cfg.M_list):
             t0 = time.perf_counter()
-            args = [(n, m, M, cfg.master_seed, lo, hi, cfg.limits) for lo, hi in blocks]
+            args = [(n, m, M, cfg.master_seed, r, cfg.limits) for r in range(cfg.replications)]
             found, excluded, successes, case1, case2, case3 = (
-                sum(col) for col in zip(*run(_run_block, args))
+                sum(col) for col in zip(*run(_run_replication, args))
             )
             wall = time.perf_counter() - t0
             completed = cfg.replications - excluded
@@ -190,9 +179,3 @@ def emit_csv(reports: Sequence[SimReport]) -> str:
 def _pct(count: int, denom: int) -> float:
     return 100.0 * count / denom if denom else 0.0
 
-
-def _split_blocks(total: int, workers: int) -> list[tuple[int, int]]:
-    # A few blocks per worker keeps the pool busy when block runtimes differ.
-    target = max(1, min(total, workers * 4))
-    size = (total + target - 1) // target
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]

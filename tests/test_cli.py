@@ -305,6 +305,23 @@ def test_solve_heuristic_stats_line(files, capsys):
     assert "case1=" in captured.err and "case2=" in captured.err
 
 
+def test_solve_random_order_is_fixed_by_seed(files, capsys):
+    # On this draw the index order fails and the seeded random order succeeds.
+    path, inst = _uniform_file(files, random.Random("stage:uniform:3:150:2"), 3, 150)
+    assert not sf.greedy_symef1(inst).found
+    runs = []
+    for _ in range(2):
+        assert main(["solve", path, "--strategy=heuristic", "--order=random", "--seed=1"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+    out = runs[0].out
+    assert "case1=122 case2=26 case3=2" in runs[0].err
+    order = sf.order_items(inst, "random", seed=1)
+    assert out == sf.format_partition(sf.greedy_symef1(inst, order).partition)
+    assert main(["check", path, files("random.part", out), "--mode=symef1"]) == 0
+    capsys.readouterr()
+
+
 def test_solve_heuristic_not_found(files, capsys):
     inst = files("inst.txt", BLOCKER)
     assert main(["solve", inst, "--strategy=heuristic"]) == 1
@@ -398,6 +415,16 @@ def test_mnw_outputs_partition_and_welfare(files, capsys, tmp_path):
     part.write_text(captured.out)
     parsed = sf.parse_partition(captured.out, n=2, m=6)
     assert parsed.bundles[0] == frozenset({1, 3, 5})
+
+
+def test_enumeration_guard_names_the_cli_option(files, capsys):
+    # 3^20 is past the n^m guard; the CLI user needs --force, not force=True.
+    path = files("big.txt", "3 20\n" + ("1 " * 20 + "\n") * 3)
+    for command in ("enumerate", "mnw"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--force" in captured.err, command
 
 
 def test_export_ip_writes_file(files, tmp_path, capsys):

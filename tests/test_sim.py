@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import symfair as sf
-from symfair.sim import SimConfig, _split_blocks, emit_csv, run_simulation
+from symfair.sim import SimConfig, emit_csv, run_simulation
 
 M4 = 10**4
 
@@ -51,23 +51,29 @@ def test_two_agent_cells_are_always_satisfiable():
         assert report.excluded == 0
 
 
-def test_reports_are_worker_count_invariant():
-    cfg = SimConfig(n_list=(3,), m_list=(5,), M_list=(100,), replications=80, master_seed=9)
-    serial = run_simulation(cfg, workers=1)[0]
-    parallel = run_simulation(cfg, workers=2)[0]
-    for field in (
-        "n",
-        "m",
-        "M",
-        "replications",
-        "pct_symef1",
-        "pct_case1",
-        "pct_case2",
-        "pct_case3",
-        "pct_exact_fallback",
-        "excluded",
-    ):
-        assert getattr(serial, field) == getattr(parallel, field)
+def test_reports_are_worker_count_invariant(monkeypatch):
+    # Pin the CPU count so two workers start anywhere.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # Two workers take chunks of ceil(reps / 8): 80 splits evenly, 81 into
+    # seven chunks of 11 and a short last one of 4.
+    for replications in (80, 81):
+        cfg = SimConfig(n_list=(3,), m_list=(5,), M_list=(100,), replications=replications,
+                        master_seed=9)
+        serial = run_simulation(cfg, workers=1)[0]
+        parallel = run_simulation(cfg, workers=2)[0]
+        for field in (
+            "n",
+            "m",
+            "M",
+            "replications",
+            "pct_symef1",
+            "pct_case1",
+            "pct_case2",
+            "pct_case3",
+            "pct_exact_fallback",
+            "excluded",
+        ):
+            assert getattr(serial, field) == getattr(parallel, field)
     # wall_seconds is a timing and is intentionally left uncompared.
 
 
@@ -192,7 +198,7 @@ def opened(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
+        def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
     monkeypatch.setattr("symfair.sim.ProcessPoolExecutor", SerialPool)
@@ -267,10 +273,3 @@ def test_run_simulation_rejects_workers_below_one():
             run_simulation(cfg, workers=workers, progress=progress.append)
     assert progress == []
 
-
-def test_split_blocks_cover_range():
-    for total in (1, 7, 80):
-        for workers in (1, 2, 5):
-            blocks = _split_blocks(total, workers)
-            covered = [r for lo, hi in blocks for r in range(lo, hi)]
-            assert covered == list(range(total))
