@@ -26,9 +26,8 @@ _HOME = {
                   "is_balanced", "is_ef1_satisfied", "is_symef1", "is_symefx",
                   "items_distinct", "max_item_value", "nash_welfare", "order_items",
                   "parse_instance", "parse_partition", "ranking", "validate_partition")),
-        ("exact", ("ExactOutcome", "ExactStatus", "canonical_partition",
-                   "check_enumeration_guard", "enumerate_symef1", "exact_symef1", "export_ip",
-                   "max_nash_welfare", "naive_enumerate_symef1")),
+        ("exact", ("ExactOutcome", "ExactStatus", "canonical_partition", "enumerate_symef1",
+                   "exact_symef1", "export_ip", "max_nash_welfare", "naive_enumerate_symef1")),
         ("heuristic", ("HeuristicResult", "HeuristicStats", "extend_allocation",
                        "greedy_symef1")),
         ("sim", ("SimConfig", "SimReport", "emit_csv", "random_instance", "replication_seed",

@@ -202,7 +202,7 @@ def _limits(args) -> SearchLimits:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -349,8 +349,6 @@ def _cmd_color(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     inst = _read_instance(args.instance)
-    with _input_error():
-        _engines.check_enumeration_guard(inst, args.force)
     partitions = _engines.enumerate_symef1(inst, _limits(args), force=args.force)
     rendered = sorted(_render_bundles(p) for p in partitions)
     for line in rendered:
@@ -361,8 +359,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_mnw(args) -> int:
     inst = _read_instance(args.instance)
-    with _input_error():
-        _engines.check_enumeration_guard(inst, args.force)
     assignment = _engines.max_nash_welfare(inst, _limits(args), force=args.force)
     sys.stdout.write(format_partition(assignment.partition))
     print(f"nash_welfare={nash_welfare(inst, assignment)}", file=sys.stderr)

@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Sequence
 
 
 class ParseError(ValueError):
-    """Malformed input: instance or partition text, or a command-line value."""
+    """Malformed input: instance or partition text, a command-line value, or an
+    instance past the n^m guard of the full enumerations."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -115,6 +115,7 @@ from .core import (
     Assignment,
     BudgetExceededError,
     Instance,
+    ParseError,
     Partition,
     SearchLimits,
     _Record,
@@ -147,10 +148,10 @@ class ExactOutcome(_Record):
 ENUMERATION_GUARD = 10**8
 
 
-def check_enumeration_guard(inst: Instance, force: bool = False) -> None:
-    """Raise ValueError when n^m exceeds the guard and ``force`` is not set."""
+def _check_guard(inst: Instance, force: bool) -> None:
+    """Raise ParseError when n^m exceeds the guard and ``force`` is not set."""
     if not force and inst.n**inst.m > ENUMERATION_GUARD:
-        raise ValueError(
+        raise ParseError(
             f"n^m = {inst.n}^{inst.m} exceeds the enumeration guard; "
             "pass force=True (--force on the command line)"
         )
@@ -465,7 +466,7 @@ def enumerate_symef1(
     Refuses instances with n^m beyond the guard unless ``force`` is set;
     raises :class:`BudgetExceededError` when a budget runs out mid-search.
     """
-    check_enumeration_guard(inst, force)
+    _check_guard(inst, force)
     searcher = _Searcher(inst, limits or SearchLimits())
     return {canonical_partition(p) for p in searcher.leaves()}
 
@@ -548,7 +549,7 @@ def max_nash_welfare(
     beats serving two. Ties go to the lexicographically smallest assignment
     vector (agent index per item, items in natural order).
     """
-    check_enumeration_guard(inst, force)
+    _check_guard(inst, force)
     n, m = inst.n, inst.m
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.time_budget
@@ -600,53 +601,34 @@ def export_ip(inst: Instance) -> str:
     1-based. The objective is the constant 0: any feasible point is an answer.
     """
     n, m = inst.n, inst.m
-    x = lambda k, j: f"x_{k}_{j}"
-    y = lambda i, j, l: f"y_{i}_{j}_{l}"
-    lines = ["Minimize"]
-    lines.append(f" obj: 0 {x(1, 1)}" if m > 0 else " obj:")
-    lines.append("Subject To")
-    for j in range(1, m + 1):
-        terms = " + ".join(x(k, j) for k in range(1, n + 1))
-        lines.append(f" assign_{j}: {terms} = 1")
-    for i in range(1, n + 1):
-        for l in range(1, n + 1):
-            if m == 0:
-                continue
-            terms = " + ".join(y(i, j, l) for j in range(1, m + 1))
-            lines.append(f" cap_{i}_{l}: {terms} <= 1")
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            for l in range(1, n + 1):
-                lines.append(f" link_{i}_{j}_{l}: {y(i, j, l)} - {x(l, j)} <= 0")
-    for i in range(1, n + 1):
-        row = inst.values[i - 1]
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                if k == l:
-                    continue
-                terms = []
-                for j in range(1, m + 1):
-                    v = row[j - 1]
-                    if v == 0:
+    agents, items = range(1, n + 1), range(1, m + 1)
+    lines = ["Minimize", " obj: 0 x_1_1" if m else " obj:", "Subject To"]
+    if m:
+        for j in items:
+            terms = " + ".join(f"x_{k}_{j}" for k in agents)
+            lines.append(f" assign_{j}: {terms} = 1")
+        for i in agents:
+            for l in agents:
+                terms = " + ".join(f"y_{i}_{j}_{l}" for j in items)
+                lines.append(f" cap_{i}_{l}: {terms} <= 1")
+        for i in agents:
+            for j in items:
+                for l in agents:
+                    lines.append(f" link_{i}_{j}_{l}: y_{i}_{j}_{l} - x_{l}_{j} <= 0")
+        for i, row in zip(agents, inst.values):
+            for k in agents:
+                for l in agents:
+                    if k == l:
                         continue
-                    terms.append(f"+ {v} {x(k, j)}")
-                    terms.append(f"- {v} {x(l, j)}")
-                    terms.append(f"+ {v} {y(i, j, l)}")
-                if not terms:
-                    terms = [f"+ 0 {x(k, 1)}"] if m > 0 else []
-                if not terms:
-                    continue
-                body = " ".join(terms).lstrip("+ ")
-                lines.append(f" ef1_{i}_{k}_{l}: {body} >= 0")
-    names = [x(k, j) for k in range(1, n + 1) for j in range(1, m + 1)]
-    names += [
-        y(i, j, l)
-        for i in range(1, n + 1)
-        for j in range(1, m + 1)
-        for l in range(1, n + 1)
-    ]
-    if names:
+                    # An agent who values nothing still gets a row with a term.
+                    body = " ".join(
+                        f"+ {v} x_{k}_{j} - {v} x_{l}_{j} + {v} y_{i}_{j}_{l}"
+                        for j, v in zip(items, row)
+                        if v
+                    ) or f"+ 0 x_{k}_1"
+                    lines.append(f" ef1_{i}_{k}_{l}: {body.lstrip('+ ')} >= 0")
         lines.append("Binary")
-        lines.extend(f" {name}" for name in names)
+        lines.extend(f" x_{k}_{j}" for k in agents for j in items)
+        lines.extend(f" y_{i}_{j}_{l}" for i in agents for j in items for l in agents)
     lines.append("End")
     return "\n".join(lines) + "\n"

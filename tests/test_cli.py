@@ -77,6 +77,21 @@ def test_check_malformed_inputs_exit_2(files, capsys):
     capsys.readouterr()
 
 
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    # A UTF-8 file may start with a byte-order mark; it is not part of the text.
+    def bom_file(name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return str(path)
+
+    inst = bom_file("inst.txt", "2 2\n1 2\n2 1\n")
+    assert main(["solve", inst]) == 0
+    solved = capsys.readouterr().out
+    part = bom_file("part.txt", solved)
+    assert main(["check", inst, part]) == 0
+    assert capsys.readouterr().out == "SATISFIED\n"
+
+
 def test_option_errors_exit_2(files, capsys):
     inst = files("inst.txt", CLIQUE)
     big = files("big.txt", "3 20\n" + "1 " * 20 + "\n" + ("2 " * 20 + "\n") * 2)
@@ -425,6 +440,9 @@ def test_enumeration_guard_names_the_cli_option(files, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--force" in captured.err, command
+        # --force lets the walk start; the budget then stops it.
+        assert main([command, path, "--force", "--node-budget=5"]) == 3
+        assert capsys.readouterr().out == "BUDGET_EXCEEDED\n", command
 
 
 def test_export_ip_writes_file(files, tmp_path, capsys):

@@ -375,9 +375,9 @@ def test_enumerate_identical_agents_meets_lower_bound():
 
 def test_enumerate_guard_refuses_huge_spaces():
     inst = sf.Instance.from_rows([list(range(18))] * 3)  # 3^18 > 1e8
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(sf.ParseError, match="guard"):
         sf.enumerate_symef1(inst)
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(sf.ParseError, match="guard"):
         sf.max_nash_welfare(inst)
 
 
@@ -604,10 +604,54 @@ def test_export_ip_generic_dimensions():
         assert _count_rows(text, "ef1_") == n * n * (n - 1)
 
 
+# The rows every 2 x 2 export shares, and its Binary section.
+_LP_2X2_HEAD = """\
+Minimize
+ obj: 0 x_1_1
+Subject To
+ assign_1: x_1_1 + x_2_1 = 1
+ assign_2: x_1_2 + x_2_2 = 1
+ cap_1_1: y_1_1_1 + y_1_2_1 <= 1
+ cap_1_2: y_1_1_2 + y_1_2_2 <= 1
+ cap_2_1: y_2_1_1 + y_2_2_1 <= 1
+ cap_2_2: y_2_1_2 + y_2_2_2 <= 1
+ link_1_1_1: y_1_1_1 - x_1_1 <= 0
+ link_1_1_2: y_1_1_2 - x_2_1 <= 0
+ link_1_2_1: y_1_2_1 - x_1_2 <= 0
+ link_1_2_2: y_1_2_2 - x_2_2 <= 0
+ link_2_1_1: y_2_1_1 - x_1_1 <= 0
+ link_2_1_2: y_2_1_2 - x_2_1 <= 0
+ link_2_2_1: y_2_2_1 - x_1_2 <= 0
+ link_2_2_2: y_2_2_2 - x_2_2 <= 0
+"""
+_LP_2X2_TAIL = """\
+Binary
+ x_1_1
+ x_1_2
+ x_2_1
+ x_2_2
+ y_1_1_1
+ y_1_1_2
+ y_1_2_1
+ y_1_2_2
+ y_2_1_1
+ y_2_1_2
+ y_2_2_1
+ y_2_2_2
+End
+"""
+
+
 def test_export_ip_names_are_one_based():
     text = sf.export_ip(sf.Instance.from_rows([[3, 1], [1, 3]]))
     assert " x_2_2" in text and " y_2_2_2" in text
     assert "x_0_" not in text and "y_0_" not in text
+    assert text == _LP_2X2_HEAD + """\
+ ef1_1_1_2: 3 x_1_1 - 3 x_2_1 + 3 y_1_1_2 + 1 x_1_2 - 1 x_2_2 + 1 y_1_2_2 >= 0
+ ef1_1_2_1: 3 x_2_1 - 3 x_1_1 + 3 y_1_1_1 + 1 x_2_2 - 1 x_1_2 + 1 y_1_2_1 >= 0
+ ef1_2_1_2: 1 x_1_1 - 1 x_2_1 + 1 y_2_1_2 + 3 x_1_2 - 3 x_2_2 + 3 y_2_2_2 >= 0
+ ef1_2_2_1: 1 x_2_1 - 1 x_1_1 + 1 y_2_1_1 + 3 x_2_2 - 3 x_1_2 + 3 y_2_2_1 >= 0
+""" + _LP_2X2_TAIL
 
 
 def test_export_ip_zero_row_keeps_rows_parseable():
@@ -615,6 +659,12 @@ def test_export_ip_zero_row_keeps_rows_parseable():
     for line in text.splitlines():
         if line.strip().startswith("ef1_1_"):
             assert ">= 0" in line and "x_" in line
+    assert text == _LP_2X2_HEAD + """\
+ ef1_1_1_2: 0 x_1_1 >= 0
+ ef1_1_2_1: 0 x_2_1 >= 0
+ ef1_2_1_2: 1 x_1_1 - 1 x_2_1 + 1 y_2_1_2 + 2 x_1_2 - 2 x_2_2 + 2 y_2_2_2 >= 0
+ ef1_2_2_1: 1 x_2_1 - 1 x_1_1 + 1 y_2_1_1 + 2 x_2_2 - 2 x_1_2 + 2 y_2_2_1 >= 0
+""" + _LP_2X2_TAIL
 
 
 def _lp_rows(text: str) -> list[tuple[str, list[tuple[int, str]], str, int]]:
