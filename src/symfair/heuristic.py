@@ -48,6 +48,31 @@ pair's other constants, and cost one comparison each per item. With two
 agents there is no other bundle (lo is infinite), so there are no gates. The
 bound skips only pairs with no accepted candidate, so the first accepted move
 is the one a full scan finds.
+
+Relabeled moves. Whether a move is accepted depends only on the bundles it
+leaves, as a multiset: the test is the smallest sum against the largest W
+over all of them. So a move that leaves the same bundles as a move already
+rejected for j in the same state is rejected too. In four classes of bundle
+pairs (k, l) every move is such a repeat, and the exchange loop skips them
+before it builds the pair (a_k is the item of a one-item bundle k):
+
+  relocation, |A_k| = |A_l| = 1, l < k: leaves {j}, {a_k, a_l}, as the
+      relocation of the pair (l, k) did earlier in the scan;
+  swap, |A_k| = |A_l| = 1: leaves {j, a_l}, {a_k}, as the insert of j into l;
+  swap, |A_k| = 1, A_l = {x, y}: swapping a_k with x leaves {j, x}, {a_k, y},
+      as relocating y from l to k and putting j into l;
+  swap, |A_k| = |A_l| = 2, l < k: leaves what the swap of the pair (l, k)
+      with the partner items exchanged did earlier in the scan.
+
+The swap classes repeat moves of cases 1 and 2, so ``try_swap`` may skip
+them only once ``try_insert`` and ``try_relocate`` have rejected j in this
+state, the order ``extend_allocation`` tries them in. Case 1 rejecting j also
+means that no bundle is empty when an exchange runs, since an empty bundle
+accepts any insert; with an empty bundle, relocating a one-item bundle's item
+into it would repeat an insert too, a fifth class that never arises. A test
+on random states of 2-5 nonempty bundles finds that every move of the four
+classes repeats one scanned before it and that no other move does, so the
+first accepted move is the one a full scan finds.
 """
 
 from __future__ import annotations
@@ -257,26 +282,36 @@ class _Table:
         return self._exchange(j, False)
 
     def try_swap(self, j: int) -> bool:
-        """Case 3: swap an item of bundle k with one of bundle l, then put j into k."""
+        """Case 3: swap an item of bundle k with one of bundle l, then put j into k.
+
+        Call it only after ``try_insert`` and ``try_relocate`` rejected j in
+        this state: it skips the swaps that give the bundles of their moves.
+        """
         return self._exchange(j, True)
 
     def _exchange(self, j: int, swap: bool) -> bool:
         """Move jk from bundle k to l and jl from l to k, then put j into k.
 
         jl is an item of bundle l for a swap and the phantom for a relocation.
+        Assumes that case 1, and for a swap case 2, already rejected j in this
+        state: the pairs whose every move gives the bundles of such a move, or
+        of one earlier in this scan, are skipped (module docstring).
         """
         n = self.n
         phantom = (self.m,)
+        sizes = [len(b) for b in self.bundles]
         for k in range(n):
             items_k = self.bundles[k]
-            if not items_k:
-                continue
+            size_k = sizes[k]
             for l in range(n):
                 if l == k:
                     continue
-                items_l = self.bundles[l] if swap else phantom
-                if not items_l:
+                size_l = sizes[l]
+                # Every move of these pairs leaves the bundles of one already
+                # rejected (module docstring, relabeled moves).
+                if swap and size_k == 1 and size_l <= 2 or size_k == size_l == 1 + swap and l < k:
                     continue
+                items_l = self.bundles[l] if swap else phantom
                 consts, gates = self._pair(k, l)
                 # An item above one of the pair's gates fails every candidate.
                 for row, t in gates[swap]:

@@ -4,9 +4,10 @@ from typing import Iterable, Sequence
 import pytest
 
 import symfair as sf
+from symfair import sim
 from symfair.core import Instance, Partition
 from symfair.heuristic import HeuristicStats, _Table
-from helpers import lab, rand_instance, single_swap_trap
+from helpers import lab, rand_instance, single_swap_trap, three_agent_blocker
 
 TRAP = single_swap_trap()
 TRAP_PARTIAL = [lab("abcd", "abcdefghj"), lab("efgh", "abcdefghj")]
@@ -347,23 +348,28 @@ def test_kernel_matches_reference_builder():
     # at 12 for n >= 5, where the reference's failed runs cost the most. The
     # last draws have larger bundles and rows of 0..1 or 0..3, where the pair
     # gates fire most, so the first accepted exchange is compared on states
-    # where gates skip pairs.
+    # where gates skip pairs. The grid-like draws at the end (n 4..6,
+    # m n+1..2n, rows 0..10^4, from scratch) mostly get stuck with one item in
+    # every bundle, where the exchanges skip the most relabeled moves.
     rng = random.Random(24)
 
     def draws():
         for _ in range(2000):
             n = rng.randint(1, 6)
             m = rng.randint(0, 16 if n <= 4 else 12)
-            yield False, n, m, rng.choice((1, 2, 3, 10, 100, 10**4))
+            yield "mixed", n, m, rng.choice((1, 2, 3, 10, 100, 10**4))
         for _ in range(300):
-            yield True, rng.randint(3, 4), rng.randint(17, 40), rng.choice((1, 3))
+            yield "large", rng.randint(3, 4), rng.randint(17, 40), rng.choice((1, 3))
+        for _ in range(150):
+            n = rng.randint(4, 6)
+            yield "grid", n, rng.randint(n + 1, 2 * n), 10**4
 
-    partial_starts = refused = failures = large_exchanges = 0
-    for large, n, m, M in draws():
+    partial_starts = refused = failures = large_exchanges = stuck_singletons = 0
+    for kind, n, m, M in draws():
         inst = sf.Instance.from_rows([[rng.randint(0, M) for _ in range(m)] for _ in range(n)])
         order = list(range(m))
         rng.shuffle(order)
-        keep = order[: rng.randint(0, min(m, 2 * n))]
+        keep = [] if kind == "grid" else order[: rng.randint(0, min(m, 2 * n))]
         bundles = [set() for _ in range(n)]
         for j in keep:
             bundles[rng.randrange(n)].add(j)
@@ -382,12 +388,16 @@ def test_kernel_matches_reference_builder():
         expected = reference_extend(inst, bundles, pending)
         assert (result.partition, result.stats) == expected
         failures += not result.found
-        if large:
+        if kind == "large":
             large_exchanges += result.stats.placed_case2 + result.stats.placed_case3
+        if kind == "grid" and not result.found:
+            # A failed run has no empty bundle, so n items means one per bundle.
+            stuck_singletons += result.stats.placed_total() == n
     assert partial_starts > 500
     assert refused > 200, refused
     assert failures > 200
     assert large_exchanges > 800, large_exchanges
+    assert stuck_singletons >= 100, stuck_singletons
 
 
 def test_pair_gates_rule_out_only_pairs_without_an_accepted_exchange():
@@ -418,3 +428,114 @@ def test_pair_gates_rule_out_only_pairs_without_an_accepted_exchange():
                         fired[swap] += 1
                         assert not within(_State(inst, table.bundles), j, k, l), (j, k, l, swap)
     assert fired[False] > 800 and fired[True] > 800, fired
+
+
+def count_pair_visits(monkeypatch, stub=None):
+    """The (k, l) of every ``_Table._pair`` call from now on, in call order."""
+    visits = []
+    pair = _Table._pair if stub is None else stub
+
+    def counted(self, k, l):
+        visits.append((k, l))
+        return pair(self, k, l)
+
+    monkeypatch.setattr(_Table, "_pair", counted)
+    return visits
+
+
+def test_exchanges_skip_relabeled_moves_with_one_item_per_bundle(monkeypatch):
+    # Every repair rejects item 3 here. A swap of two one-item bundles leaves
+    # the bundles of an insert, and the relocations of (k, l) and (l, k)
+    # leave the same bundles, so only the relocations with k < l build a pair
+    # (the full scan visits 6 pairs for each exchange).
+    visits = count_pair_visits(monkeypatch)
+    table = _Table(three_agent_blocker(), [{0}, {1}, {2}])
+    seen = []
+    for attempt in REPAIRS:
+        del visits[:]
+        assert not attempt(table, 3)
+        seen.append(list(visits))
+    assert seen == [[], [(0, 1), (0, 2), (1, 2)], []]
+
+
+def test_greedy_pair_visits_on_grid_draws(monkeypatch):
+    # A cost gate that does not depend on the machine, like the search's node
+    # gates: the first 50 draws of the acceptance grid's 5 x 10 cell build at
+    # most 2 743 pairs (10 164 when every pair is scanned).
+    visits = count_pair_visits(monkeypatch)
+    for r in range(50):
+        seed = sim.replication_seed(42, 5, 10, 10**4, r)
+        sf.greedy_symef1(sim.random_instance(5, 10, 10**4, seed))
+    assert len(visits) <= 2743, len(visits)
+
+
+def _moves(bundles, j):
+    """(kind, k, l, the bundles it leaves) for each move of item j, in scan order."""
+    n = len(bundles)
+
+    def leaves(k, new_k, l=None, new_l=None):
+        after = [frozenset(b) for b in bundles]
+        after[k] = frozenset(new_k)
+        if l is not None:
+            after[l] = frozenset(new_l)
+        return frozenset(after)
+
+    for k in range(n):
+        yield "insert", k, None, leaves(k, bundles[k] | {j})
+    for kind in ("relocate", "swap"):
+        for k, l in _ordered_pairs(n):
+            for jk in sorted(bundles[k]):
+                for jl in sorted(bundles[l]) if kind == "swap" else [None]:
+                    back = set() if jl is None else {jl}
+                    yield kind, k, l, leaves(
+                        k, bundles[k] - {jk} | back | {j}, l, bundles[l] - back | {jk}
+                    )
+
+
+def test_exchanges_skip_exactly_the_pairs_whose_moves_repeat_earlier_ones(monkeypatch):
+    # No values are involved. Acceptance reads only the bundles a move leaves,
+    # so a move that leaves the bundles of one scanned before it (inserts,
+    # then relocations, then swaps, each in pair order) cannot be the first
+    # accepted. On random states of nonempty bundles, every move of a skipped
+    # pair repeats an earlier one, and no move of a visited pair does. A stub
+    # pair whose gates every item exceeds makes each visited pair reject.
+    def reject_all(self, k, l):
+        gates = [(self.rows[0], -1)]
+        return [], (gates, gates)
+
+    visits = count_pair_visits(monkeypatch, reject_all)
+    rng = random.Random(27)
+    skipped = set()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        sizes = [rng.randint(1, 4) for _ in range(n)]
+        items = list(range(sum(sizes) + 1))
+        rng.shuffle(items)
+        j = items.pop()
+        bundles = []
+        for size in sizes:
+            bundles.append(set(items[:size]))
+            del items[:size]
+        table = _Table(sf.Instance.from_rows([[0] * (sum(sizes) + 1)] * n), bundles)
+        earlier = set()
+        repeats: dict[tuple, list[bool]] = {}
+        for kind, k, l, left in _moves(bundles, j):
+            if kind != "insert":
+                repeats.setdefault((kind == "swap", k, l), []).append(left in earlier)
+            earlier.add(left)
+        for swap, attempt in ((False, _Table.try_relocate), (True, _Table.try_swap)):
+            del visits[:]
+            assert not attempt(table, j)
+            for k, l in _ordered_pairs(n):
+                flags = repeats[swap, k, l]
+                assert set(flags) == {(k, l) not in visits}, (bundles, j, swap, k, l, flags)
+                if (k, l) not in visits:
+                    skipped.add((swap, len(bundles[k]), len(bundles[l]), l < k))
+    # The four classes: relocations of one-item bundles with l < k; swaps of
+    # a one-item bundle with a bundle of one or two items; swaps of two-item
+    # bundles with l < k.
+    assert skipped == {
+        (False, 1, 1, True),
+        (True, 1, 1, False), (True, 1, 1, True), (True, 1, 2, False), (True, 1, 2, True),
+        (True, 2, 2, True),
+    }, skipped
