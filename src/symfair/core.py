@@ -72,8 +72,10 @@ class _Record:
 class SearchLimits(_Record):
     """Node and time budget of one call to a backtracking search.
 
-    The exact search, enumeration, the MNW oracle and ``k_color`` each count
-    their own nodes and raise :class:`BudgetExceededError` when either runs out.
+    The exact search, enumeration, the MNW oracle and ``k_color`` share one
+    rule. A node is one child scored, one leaf or one color assignment. A
+    search stops at node ``node_budget + 1``, and it reads the clock at every
+    4096th node; either stop raises :class:`BudgetExceededError`.
     """
 
     __slots__ = ("node_budget", "time_budget")

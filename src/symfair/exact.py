@@ -85,9 +85,9 @@ as soon as that entry pushes the sum past left, and before any test when
 the other entries already do.
 The agents whose worst_i rises already rescan their row; their terms enter
 the child's counts only once the child has passed every per-agent test
-(their bundle k term is 0). Nodes are counted as the walk reaches each child,
-a run of cut children in one step, so node counts and budget stops are those
-of a walk that places each child and tests it from scratch.
+(their bundle k term is 0). Each child counts as one node when it is scored,
+cut or not, and the budgets are tested there, so node counts and budget stops
+are those of a walk that places each child and tests it from scratch.
 
 A node with an entry at 1 runs the cover test on entry, after the drops
 merge and before it scores any child, for all its bundles at once, and
@@ -233,9 +233,8 @@ class _Searcher:
         saved_worst = [[0] * n for _ in range(m)]
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
         # plans[d] yields the surviving children of the node at depth d, in order,
-        # as (children the walk reaches from the previous survivor up to this one,
-        # bundle, the child's per-agent deficits, its per-bundle item counts),
-        # closed by (children after the last survivor, -1, None, None).
+        # as (bundle, the child's per-agent deficits, its per-bundle item counts),
+        # closed by (-1, None, None). It counts every child it scores in nodes.
         plans: list = [None] * m
 
         tables = [None] * n  # cover_table(i), built on agent i's first cover query
@@ -270,7 +269,11 @@ class _Searcher:
             test failed above. The node owns ``need``: before it scores the
             first child, it merges the drops into it and raises the entries
             that fail the cover test here.
+
+            Each child is one node, counted and budget-tested before its
+            tests, so a child that is cut counts as one that is placed.
             """
+            nonlocal nodes, check
             col = cols[d]
             rem = remaining[d + 1]
             up = top[d + 1]
@@ -292,9 +295,15 @@ class _Searcher:
             # A child in bundle k is cut once it needs more than room + need[k]
             # items there: the other bundles' entries only rise.
             room = m - d - 1 - sum(need)
-            step = 0
             for k in kids:
-                step += 1
+                nodes += 1
+                if nodes == check:
+                    self.nodes = nodes
+                    if nodes > node_budget:
+                        raise BudgetExceededError(f"node budget {node_budget} exhausted")
+                    if time.monotonic() > deadline:
+                        raise BudgetExceededError(f"time budget {time_budget}s exhausted")
+                    check = min(nodes + 4096, node_budget + 1)
                 most = room + need[k]
                 if most < 0:
                     continue
@@ -362,31 +371,17 @@ class _Searcher:
                                 b += 1
                         if over > 0:
                             continue
-                    yield step, k, deficits, child
-                    step = 0
-            yield step, -1, None, None
+                    yield k, deficits, child
+            yield -1, None, None
 
-        def stop(before: int, after: int) -> None:
-            # Children before+1..after were counted in one step. Stop where a
-            # count of one at a time would have: at the first multiple of 4096
-            # past the deadline, or at the first child past the node budget.
-            tick = (before // 4096 + 1) * 4096
-            if tick <= min(after, node_budget) and time.monotonic() > deadline:
-                self.nodes = tick
-                raise BudgetExceededError(f"time budget {time_budget}s exhausted")
-            if after > node_budget:
-                self.nodes = node_budget + 1
-                raise BudgetExceededError(f"node budget {node_budget} exhausted")
-
-        plans[0] = score(0, [0], [0] * n, [0] * n)
+        # check: the next count at which a budget can run out, the first past the
+        # node budget or a multiple of 4096, where the clock is read.
         nodes = 0
+        check = min(4096, node_budget + 1)
+        plans[0] = score(0, [0], [0] * n, [0] * n)
         d = 0
         while True:
-            step, k, deficits, need = next(plans[d])
-            # A zero step can cross neither the node budget nor a multiple of 4096.
-            nodes += step
-            if nodes > node_budget or (nodes & 4095) < step:
-                stop(nodes - step, nodes)
+            k, deficits, need = next(plans[d])
             if k < 0:
                 if d == 0:
                     self.nodes = nodes

@@ -61,7 +61,8 @@ def test_node_budget_reports_exhaustion():
     inst = rand_instance(random.Random(31), 4, 10, 1000)
     outcome = sf.exact_symef1(inst, sf.SearchLimits(node_budget=3, time_budget=60.0))
     assert outcome.status is sf.ExactStatus.BUDGET_EXCEEDED
-    assert outcome.nodes > 3
+    # The search stops at the first node past the budget.
+    assert outcome.nodes == 4
 
 
 def test_two_agents_out_of_budget_fall_back_to_coloring():
@@ -550,6 +551,12 @@ def test_every_engine_names_the_node_budget_it_ran_out_of(monkeypatch):
         monkeypatch.setattr(f"{module}.time", SimpleNamespace(monotonic=count().__next__))
         with pytest.raises(sf.BudgetExceededError, match=r"^time budget 0\.5s exhausted$"):
             search()
+    # The existence search reports the stop in its outcome; this pool instance
+    # (frontier 6x15 #1) is proved infeasible at 82 469 nodes.
+    pool = rand_instance(random.Random("frontier:6:15:1"), 6, 15, 10**4)
+    monkeypatch.setattr("symfair.exact.time", SimpleNamespace(monotonic=count().__next__))
+    outcome = sf.exact_symef1(pool, limits)
+    assert (outcome.status, outcome.nodes) == (sf.ExactStatus.BUDGET_EXCEEDED, 4096)
 
 
 def test_mnw_tie_breaks_lexicographically():
