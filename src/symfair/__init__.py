@@ -12,9 +12,10 @@ __version__ = "0.1.0"
 # Every public name, and the submodule that defines it; ``cli`` looks up each
 # engine name here on its first use, so this is the one such table. A name, or a submodule
 # as an attribute of the package, is imported on first access, so
-# ``symfair.cli check`` loads only ``core``, and nothing loads ``sim`` (which
-# needs numpy, slower to import than the rest of the package together) until
-# a simulation name is used.
+# ``symfair.cli check`` loads only ``core``, and nothing loads ``sim`` until a
+# simulation name is used. Even then numpy (slower to import than the rest of
+# the package together) waits for the first draw, and the process pool for a
+# run with more than one worker.
 _HOME = {
     name: module
     for module, names in (

@@ -6,22 +6,22 @@ back to the complete search only when the greedy pass fails, mirroring how the
 expensive decision procedure is best used in practice. Each replication's
 generator is seeded by hashing (master_seed, n, m, M, r), so results do not
 depend on worker count or execution order.
+
+Importing this module loads neither numpy nor the process pool. numpy loads
+at the first draw (``random_instance``), and ``concurrent.futures`` only when
+``run_simulation`` starts a pool for more than one worker.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .core import Instance, SearchLimits
+from .core import Instance, SearchLimits, _Record, _set
 from .exact import ExactStatus, exact_symef1
 from .heuristic import greedy_symef1
 
@@ -29,44 +29,64 @@ from .heuristic import greedy_symef1
 _MAX_M = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    n_list: tuple[int, ...]
-    m_list: tuple[int, ...]
-    M_list: tuple[int, ...]
-    replications: int
-    master_seed: int
-    limits: SearchLimits = field(default_factory=SearchLimits)
+class SimConfig(_Record):
+    """The cells (the product of the n, m and M lists), the replications per
+    cell, the master seed and the complete search's budgets."""
 
-    def __post_init__(self) -> None:
-        if not (self.n_list and self.m_list and self.M_list):
+    __slots__ = ("n_list", "m_list", "M_list", "replications", "master_seed", "limits")
+
+    def __init__(
+        self,
+        n_list: tuple[int, ...],
+        m_list: tuple[int, ...],
+        M_list: tuple[int, ...],
+        replications: int,
+        master_seed: int,
+        limits: SearchLimits = SearchLimits(),
+    ) -> None:
+        if not (n_list and m_list and M_list):
             raise ValueError("n, m, and M lists must be nonempty")
-        if any(v < 1 for v in self.n_list + self.m_list) or any(v < 0 for v in self.M_list):
+        if any(v < 1 for v in n_list + m_list) or any(v < 0 for v in M_list):
             raise ValueError("n and m must be positive, M nonnegative")
-        if any(v > _MAX_M for v in self.M_list):
+        if any(v > _MAX_M for v in M_list):
             raise ValueError(f"M must be at most 2^63 - 1 = {_MAX_M}")
-        if self.replications < 1:
+        if replications < 1:
             raise ValueError("need at least one replication")
-        if self.master_seed < 0:
+        if master_seed < 0:
             raise ValueError("master seed must be nonnegative")
+        _set(self, "n_list", n_list)
+        _set(self, "m_list", m_list)
+        _set(self, "M_list", M_list)
+        _set(self, "replications", replications)
+        _set(self, "master_seed", master_seed)
+        _set(self, "limits", limits)
 
 
-@dataclass
-class SimReport:
+class SimReport(_Record):
     """One CSV row; ``excluded`` counts budget-exceeded replications, which are
     reported through ``progress`` and left out of every percentage."""
 
-    n: int
-    m: int
-    M: int
-    replications: int
-    pct_symef1: float
-    pct_case1: float
-    pct_case2: float
-    pct_case3: float
-    pct_exact_fallback: float
-    wall_seconds: float
-    excluded: int = 0
+    __slots__ = ("n", "m", "M", "replications", "pct_symef1", "pct_case1", "pct_case2",
+                 "pct_case3", "pct_exact_fallback", "wall_seconds", "excluded")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        M: int,
+        replications: int,
+        pct_symef1: float,
+        pct_case1: float,
+        pct_case2: float,
+        pct_case3: float,
+        pct_exact_fallback: float,
+        wall_seconds: float,
+        excluded: int = 0,
+    ) -> None:
+        for name, value in zip(self.__slots__, (n, m, M, replications, pct_symef1, pct_case1,
+                                                pct_case2, pct_case3, pct_exact_fallback,
+                                                wall_seconds, excluded)):
+            _set(self, name, value)
 
 
 def replication_seed(master_seed: int, n: int, m: int, M: int, r: int) -> list[int]:
@@ -80,6 +100,9 @@ def random_instance(n: int, m: int, M: int, seed) -> Instance:
         raise ValueError("M must be nonnegative")
     if M > _MAX_M:
         raise ValueError(f"M must be at most 2^63 - 1 = {_MAX_M}")
+    # The first draw pays numpy's import; a process that never draws never loads it.
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, M + 1, size=(n, m))
     return Instance.from_rows(matrix.tolist())
@@ -121,6 +144,11 @@ def run_simulation(
     workers = min(workers, cpus, cfg.replications)
     # A few chunks per worker keeps the pool busy when replication runtimes differ.
     chunksize = -(-cfg.replications // (4 * workers))
+    if workers > 1:
+        # numpy loads here, before the pool forks, so its workers inherit it
+        # rather than each importing it at its first draw.
+        import numpy  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
     # One pool serves every cell, so its start-up is paid once per run.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = partial(pool.map, chunksize=chunksize) if pool else map

@@ -110,8 +110,45 @@ class RefHeuristicResult:
     stats: RefHeuristicStats
 
 
+@dataclass(frozen=True)
+class RefSimConfig:
+    n_list: tuple
+    m_list: tuple
+    M_list: tuple
+    replications: int
+    master_seed: int
+    limits: sf.SearchLimits = dataclasses.field(default_factory=sf.SearchLimits)
+
+    def __post_init__(self) -> None:
+        if not (self.n_list and self.m_list and self.M_list):
+            raise ValueError("n, m, and M lists must be nonempty")
+        if any(v < 1 for v in self.n_list + self.m_list) or any(v < 0 for v in self.M_list):
+            raise ValueError("n and m must be positive, M nonnegative")
+        if any(v > 2**63 - 1 for v in self.M_list):
+            raise ValueError(f"M must be at most 2^63 - 1 = {2**63 - 1}")
+        if self.replications < 1:
+            raise ValueError("need at least one replication")
+        if self.master_seed < 0:
+            raise ValueError("master seed must be nonnegative")
+
+
+@dataclass(frozen=True)
+class RefSimReport:
+    n: int
+    m: int
+    M: int
+    replications: int
+    pct_symef1: float
+    pct_case1: float
+    pct_case2: float
+    pct_case3: float
+    pct_exact_fallback: float
+    wall_seconds: float
+    excluded: int = 0
+
+
 NAMES = ("SearchLimits", "Instance", "Partition", "Assignment", "ItemGraph", "ExactOutcome",
-         "HeuristicStats", "HeuristicResult")
+         "HeuristicStats", "HeuristicResult", "SimConfig", "SimReport")
 NEW = SimpleNamespace(**{name: getattr(sf, name) for name in NAMES})
 REF = SimpleNamespace(**{name: globals()["Ref" + name] for name in NAMES})
 
@@ -158,6 +195,25 @@ CASES = {
     "stats-keyword": lambda C: C.HeuristicStats(placed_case3=4),
     "result": lambda C: C.HeuristicResult(C.Partition(P), C.HeuristicStats(2, 1, 0)),
     "result-none": lambda C: C.HeuristicResult(None, stats=C.HeuristicStats()),
+    # SimConfig's limits are a SearchLimits in both classes, so the twins compare.
+    "config-defaults": lambda C: C.SimConfig((2, 3), (5,), (10,), 4, 7),
+    "config-keywords": lambda C: C.SimConfig(
+        master_seed=0, replications=1, M_list=(0,), m_list=(1,), n_list=(1,),
+        limits=sf.SearchLimits(5, 1.5)),
+    "config-empty-list": lambda C: C.SimConfig((2,), (), (10,), 1, 0),
+    "config-zero-m": lambda C: C.SimConfig((2,), (0,), (10,), 1, 0),
+    "config-negative-M": lambda C: C.SimConfig((2,), (5,), (-1,), 1, 0),
+    "config-huge-M": lambda C: C.SimConfig((2,), (5,), (2**63,), 1, 0),
+    "config-no-replications": lambda C: C.SimConfig((2,), (5,), (10,), 0, 0),
+    "config-negative-seed": lambda C: C.SimConfig((2,), (5,), (10,), 1, -1),
+    # The first failing check names the error: an empty list before a bad seed.
+    "config-two-errors": lambda C: C.SimConfig((), (5,), (-1,), 0, -1),
+    "config-missing": lambda C: C.SimConfig((2,), (5,), (10,), 1),
+    "report": lambda C: C.SimReport(3, 5, 10, 4, 75.0, 80.0, 15.0, 5.0, 25.0, 0.125),
+    "report-keywords": lambda C: C.SimReport(
+        n=3, m=5, M=10, replications=4, pct_symef1=100.0, pct_case1=60.0, pct_case2=40.0,
+        pct_case3=0.0, pct_exact_fallback=0.0, wall_seconds=0.5, excluded=2),
+    "report-too-many": lambda C: C.SimReport(3, 5, 10, 4, 75.0, 80.0, 15.0, 5.0, 25.0, 0.1, 0, 1),
 }
 
 

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -172,7 +174,7 @@ def test_one_pool_serves_every_cell(monkeypatch):
             opened.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr("symfair.sim.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     cfg = SimConfig(n_list=(2, 3), m_list=(4, 5), M_list=(100,), replications=12, master_seed=3)
     serial = run_simulation(cfg, workers=1)
     assert opened == []
@@ -201,8 +203,42 @@ def opened(monkeypatch):
         def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
-    monkeypatch.setattr("symfair.sim.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return opened
+
+
+_POOL_PROBE = """
+import concurrent.futures, os, sys
+import symfair.sim as sim
+built = []
+class RecordingPool:  # notes whether numpy is loaded when it is built; runs in-process
+    def __init__(self, max_workers):
+        built.append("numpy" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, args, chunksize=1):
+        return map(fn, args)
+if {workers} > 1:
+    concurrent.futures.ProcessPoolExecutor = RecordingPool
+os.cpu_count = lambda: 2
+cfg = sim.SimConfig(n_list=(3,), m_list=(5,), M_list=(10,), replications=4, master_seed=3)
+sim.run_simulation(cfg, workers={workers})
+print(built, "concurrent.futures.process" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("workers, printed", [(2, "[True] False"), (1, "[] False")])
+def test_pool_loads_numpy_before_it_forks_and_a_serial_run_starts_none(workers, printed):
+    # A fresh interpreter, so that numpy and the pool module are not loaded yet.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE.format(workers=workers)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == printed
 
 
 def _pool_stats(r):
