@@ -273,7 +273,8 @@ def _first_violation(
     Scans the (agent i, bundle k) ``pairs`` in order, then l ascending. The
     discount is the item of A_l that ``discount`` (``max`` for EF1, ``min`` for
     EFX) picks from i's values, 0 for an empty bundle. The bundles need not
-    cover every item.
+    cover every item. A pair whose v_i(A_k) reaches i's largest cut has no
+    violating l, so it skips the l scan.
     """
     agent = None
     for i, k in pairs:
@@ -282,7 +283,10 @@ def _first_violation(
             vals = [[row[j] for j in b] for b in bundles]
             sums = [sum(v) for v in vals]
             cuts = [s - discount(v, default=0) for s, v in zip(sums, vals)]
+            top = max(cuts)
         lhs = sums[k]
+        if lhs >= top:
+            continue
         for l, rhs in enumerate(cuts):
             if lhs < rhs:
                 return (i, k, l, lhs, rhs)

@@ -55,11 +55,31 @@ test cuts every child that leaves b short for it anyway. For the same
 reason, a node's test fails wherever an ancestor's failed for a bundle that
 has gained no item since.
 
-The prune only cuts subtrees, so the accepted leaves come in the order of a
-walk without it, and each unordered partition is a leaf at most once. When
-the enumerated set equals the naive oracle's, no symEF1 partition was cut,
-so both walks accept the same leaves in the same order and return the same
-first witness.
+Child order. A node scores its children emptiest bundle first, ties by
+index, and tries the survivors by ascending deficit sum_i D_i (D_i below),
+ties in that scoring order: the child closest to symEF1 goes first, the
+succeed-first value order of constraint-satisfaction backtracking. The
+deficit is a function of the child's state, which the per-agent tests
+compute anyway, so the order costs one sum per survivor and one sort per
+node. It cuts nothing: the tests see the child's state alone, not the path
+to it, so every child is scored and cut as in any other order, a proof of
+infeasibility scores the same children, and enumeration lists the same
+set. What moves is the order of the accepted leaves, and so the first
+witness. A survivor with deficit 0 goes at once, before its later siblings
+are scored: deficits are nonnegative, so it comes first anyway. The others
+wait for the node's last child. Were the zero-deficit ones to wait too,
+every node on the path to the first witness would score all its children
+before it descends; going at once keeps the time to the first witness, and
+what small budgets decide, close to the scoring order's. A leaf survives
+only with deficit 0, so it is yielded as soon as it is scored.
+
+The prune only cuts subtrees, and each unordered partition is a leaf at
+most once. The order puts the surviving children of a node in a fixed
+order of their states, so cutting a child that has no accepted leaf below
+it leaves the others' order as it was: the accepted leaves come in the
+order of a walk without the prune. When the enumerated set equals the
+naive oracle's, no symEF1 partition was cut, so both walks accept the same
+leaves in the same order and return the same first witness.
 
 Cost model. A node scores each child when the walk is back at the node, so
 from the node's own bundle sums and maxima. It holds, per agent, the deficit
@@ -108,7 +128,7 @@ import time
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate
-from operator import neg, or_
+from operator import itemgetter, neg, or_
 from typing import Iterator
 
 from .core import (
@@ -163,7 +183,8 @@ class _Searcher:
     Depth d places the item ``order[d]``. Per-depth arrays hold the children
     still to try and what a placement overwrote, so undoing it is O(n) and the
     Python stack stays flat at any m. ``leaves`` yields every accepted leaf in
-    DFS order, so the first one is the existence witness.
+    DFS order, each node's children in the child order, so the first one is
+    the existence witness.
     """
 
     def __init__(self, inst: Instance, limits: SearchLimits):
@@ -232,9 +253,10 @@ class _Searcher:
         saved_max = [[0] * n for _ in range(m)]
         saved_worst = [[0] * n for _ in range(m)]
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
-        # plans[d] yields the surviving children of the node at depth d, in order,
-        # as (bundle, the child's per-agent deficits, its per-bundle item counts),
-        # closed by (-1, None, None). It counts every child it scores in nodes.
+        # plans[d] yields the surviving children of the node at depth d, in the
+        # child order (module docstring), as (bundle, the child's per-agent
+        # deficits, its per-bundle item counts), closed by (-1, None, None).
+        # It counts every child it scores in nodes.
         plans: list = [None] * m
 
         tables = [None] * n  # cover_table(i), built on agent i's first cover query
@@ -261,7 +283,7 @@ class _Searcher:
                 b += 1
 
         def score(d: int, kids: list[int], base: list[int], need: list[int]) -> Iterator:
-            """Cut the node's children that fail a test; yield the rest in order.
+            """Cut the node's children that fail a test; yield the rest by deficit.
 
             ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)),
             and ``need[b]`` bundle b's item count max_i ceil((worst_i -
@@ -271,7 +293,10 @@ class _Searcher:
             that fail the cover test here.
 
             Each child is one node, counted and budget-tested before its
-            tests, so a child that is cut counts as one that is placed.
+            tests, so a child that is cut counts as one that is placed. A
+            survivor whose deficits are all 0 is yielded at once; the others
+            wait for the last child and go by ascending deficit sum, ties in
+            the order they were scored.
             """
             nonlocal nodes, check
             col = cols[d]
@@ -295,6 +320,7 @@ class _Searcher:
             # A child in bundle k is cut once it needs more than room + need[k]
             # items there: the other bundles' entries only rise.
             room = m - d - 1 - sum(need)
+            late = []
             for k in kids:
                 nodes += 1
                 if nodes == check:
@@ -371,7 +397,14 @@ class _Searcher:
                                 b += 1
                         if over > 0:
                             continue
-                    yield k, deficits, child
+                    total = sum(deficits)
+                    if total:
+                        late.append((total, k, deficits, child))
+                    else:
+                        yield k, deficits, child
+            late.sort(key=itemgetter(0))  # stable: ties keep the scoring order
+            for _, k, deficits, child in late:
+                yield k, deficits, child
             yield -1, None, None
 
         # check: the next count at which a budget can run out, the first past the

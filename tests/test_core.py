@@ -444,6 +444,35 @@ def test_first_violation_witness_is_deterministic():
     assert witness == (0, 2, 0, 0, 1)
 
 
+def test_first_violation_matches_a_plain_scan():
+    # The scan skips a pair (i, k) whose v_i(A_k) reaches agent i's largest
+    # cut; the first violation must be the one a plain (i, k, l) scan finds.
+    def plain(rows, bundles, discount, pairs):
+        for i, k in pairs:
+            lhs = sum(rows[i][j] for j in bundles[k])
+            for l, b in enumerate(bundles):
+                vals = [rows[i][j] for j in b]
+                rhs = sum(vals) - discount(vals, default=0)
+                if lhs < rhs:
+                    return (i, k, l, lhs, rhs)
+        return None
+
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(600):
+        n, m = rng.randint(1, 5), rng.randint(0, 10)
+        rows = [[rng.randint(0, rng.choice((1, 5, 100))) for _ in range(m)] for _ in range(n)]
+        labels = [rng.randrange(n) for _ in range(m)]
+        bundles = [frozenset(j for j in range(m) if labels[j] == k) for k in range(n)]
+        every = [(i, k) for i in range(n) for k in range(n)]
+        for discount in (max, min):
+            for pairs in (every, [(i, i) for i in range(n)]):
+                want = plain(rows, bundles, discount, pairs)
+                assert sf.core._first_violation(rows, bundles, discount, pairs) == want
+                seen.add(want is None)
+    assert seen == {True, False}
+
+
 def test_symefx_diagonal_blocker():
     # Near-identity matrix: some bundle has two items; its owner-to-be values
     # every other bundle too little even after dropping the cheapest item.

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 import time
 from collections import Counter
 from itertools import count
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -66,18 +67,20 @@ def test_node_budget_reports_exhaustion():
 
 
 def test_two_agents_out_of_budget_fall_back_to_coloring():
-    # The search runs out on this instance even at the default budget; two-agent
-    # conflict graphs are bipartite, so their closed-form 2-coloring answers instead.
+    # The search finds a partition of this instance at node 702, so it runs out
+    # at 500; two-agent conflict graphs are bipartite, so their closed-form
+    # 2-coloring answers instead.
     inst = rand_instance(random.Random(6), 2, 600, 10**4)
-    limits = sf.SearchLimits(node_budget=20_000, time_budget=60.0)
+    assert sf.exact_symef1(inst).nodes == 702
+    limits = sf.SearchLimits(node_budget=500, time_budget=60.0)
     with pytest.raises(sf.BudgetExceededError):
         next(sf.exact._Searcher(inst, limits).leaves())
     outcome = sf.exact_symef1(inst, limits)
     assert outcome.status is sf.ExactStatus.FOUND
-    assert outcome.nodes == 20_001
+    assert outcome.nodes == 501
     assert outcome.partition == sf.two_agent_partition(inst)
     assert sf.is_symef1(inst, outcome.partition)
-    # Three agents still report the budget (this one needs 33 nodes).
+    # Three agents still report the budget (this one needs 57 nodes).
     three = rand_instance(random.Random(6), 3, 30, 10**4)
     outcome = sf.exact_symef1(three, sf.SearchLimits(node_budget=20))
     assert outcome.status is sf.ExactStatus.BUDGET_EXCEEDED
@@ -135,18 +138,25 @@ class _ReferenceSearcher(sf.exact._Searcher):
     """The loop that places every child, tests it, and undoes it if it fails.
 
     The engine scores children at their parent and places only the ones that
-    survive, and it carries the item counts from node to node; it must count
-    the same nodes, cut the same children, stop at the same child and yield
-    the same leaves in the same order as this loop, which tests each placed
-    child from scratch. It also keeps the mean-share test (worst_i above
+    survive, and it carries the deficits and item counts from node to node; it
+    must count the same nodes, cut the same children, stop at the same child
+    and yield the same leaves in the same order as this loop, which tests each
+    placed child from scratch. It also keeps the mean-share test (worst_i above
     floor(total_i / n)) that the engine leaves to the deficit test, so the
     match shows that the engine's two tests cut the same children. It runs
     the cover test at every node, before placing the node's children, as the
     engine does when it enters a node.
+
+    A node tests its children emptiest bundle first, ties by index. A
+    survivor whose deficit sum_i sum_k max(0, worst_i - v_i(A_k)) is 0 is
+    entered at once. The others are undone, and once the last child is
+    tested they are placed again and entered by ascending deficit, ties in
+    the order they were tested; placing one again counts no node.
     """
 
     item_count = True  # run the item-count test after the per-agent tests
     cover = True  # in it, count two items for a bundle no single later item fills
+    by_deficit = True  # enter the survivors by deficit, not in the order they were tested
 
     def leaves(self):
         n, m = self.n, self.m
@@ -172,79 +182,47 @@ class _ReferenceSearcher(sf.exact._Searcher):
         saved_worst = [[0] * n for _ in range(m)]
         children: list[list[int]] = [[] for _ in range(m)]
         pos = [0] * m
+        # later[d]: (deficit, test position, bundle) of the node's survivors
+        # with a positive deficit, not entered yet.
+        later: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
         used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
         # uncovered[d]: the bundles that, at the node at depth d, are short for
         # some agent while no item at a depth after d is worth the gap to every
         # agent they are short for; a child that puts item d elsewhere needs two
         # more items there.
         uncovered: list[set[int]] = [set() for _ in range(m)]
-        children[0] = [0]
-        nodes = 0
-        d = 0
-        undo = 0  # agents whose state the placement at depth d changed
-        while True:
-            if undo:
-                k = assign[d]
-                col = cols[d]
-                sm = saved_max[d]
-                sw = saved_worst[d]
-                for i in range(undo):
-                    sums[i][k] -= col[i]
-                    maxes[i][k] = sm[i]
-                    worst[i] = sw[i]
-                sizes[k] -= 1
-                undo = 0
-            kids = children[d]
-            p = pos[d]
-            if p == len(kids):
-                if d == 0:
-                    self.nodes = nodes
-                    return
-                d -= 1
-                undo = n
-                continue
-            pos[d] = p + 1
-            k = kids[p]
-            nodes += 1
-            if nodes > node_budget:
-                self.nodes = nodes
-                raise sf.BudgetExceededError(f"node budget {node_budget} exhausted")
-            if nodes % 4096 == 0 and time.monotonic() > deadline:
-                self.nodes = nodes
-                raise sf.BudgetExceededError(f"time budget {self.limits.time_budget}s exhausted")
+
+        def place(d, k):
             assign[d] = k
             sizes[k] += 1
             col = cols[d]
-            sm = saved_max[d]
-            sw = saved_worst[d]
-            rem = remaining[d + 1]
             for i in agents:
-                srow = sums[i]
                 v = col[i]
-                s = srow[k] + v
-                srow[k] = s
-                mrow = maxes[i]
-                mx = mrow[k]
-                sm[i] = mx
-                if v > mx:
-                    mrow[k] = mx = v
+                sums[i][k] += v
+                saved_max[d][i] = maxes[i][k]
+                maxes[i][k] = max(maxes[i][k], v)
+                saved_worst[d][i] = worst[i]
+                worst[i] = max(worst[i], sums[i][k] - maxes[i][k])
+
+        def undo(d):
+            k = assign[d]
+            sizes[k] -= 1
+            for i in agents:
+                sums[i][k] -= cols[d][i]
+                maxes[i][k] = saved_max[d][i]
+                worst[i] = saved_worst[d][i]
+
+        def deficit(d):
+            """The placed child's deficit, or None if it fails a test."""
+            rem = remaining[d + 1]
+            total = 0
+            for i in agents:
                 w = worst[i]
-                sw[i] = w
-                if s - mx > w:
-                    worst[i] = w = s - mx
-                if w > cap[i]:
-                    undo = i + 1
-                    break
-                slack = rem[i]
-                for x in srow:
-                    if x < w:
-                        slack -= w - x
-                        if slack < 0:
-                            break
-                if slack < 0:
-                    undo = i + 1
-                    break
-            if not undo and self.item_count:
+                lack = sum(w - x for x in sums[i] if x < w)
+                if w > cap[i] or lack > rem[i]:
+                    return None
+                total += lack
+            if self.item_count:
                 # Bundle b needs max_i ceil((worst_i - v_i(A_b)) / top_i) more
                 # items, from scratch; an agent with no value left needs more
                 # than every count.
@@ -257,25 +235,63 @@ class _ReferenceSearcher(sf.exact._Searcher):
                         for i in agents
                         if sums[i][b] < worst[i]
                     ]
-                    if self.cover and b != k and b in uncovered[d]:
+                    if self.cover and b != assign[d] and b in uncovered[d]:
                         gaps.append(2)
                     needed += max(gaps, default=0)
                 if needed > left:
-                    undo = n
-            if undo:
+                    return None
+            return total
+
+        children[0] = [0]
+        nodes = 0
+        d = 0
+        while True:
+            kids = children[d]
+            p = pos[d]
+            if p < len(kids):
+                pos[d] = p + 1
+                k = kids[p]
+                nodes += 1
+                if nodes > node_budget:
+                    self.nodes = nodes
+                    raise sf.BudgetExceededError(f"node budget {node_budget} exhausted")
+                if nodes % 4096 == 0 and time.monotonic() > deadline:
+                    self.nodes = nodes
+                    raise sf.BudgetExceededError(f"time budget {self.limits.time_budget}s exhausted")
+                place(d, k)
+                lack = deficit(d)
+                if lack is None:
+                    undo(d)
+                    continue
+                if lack and self.by_deficit:
+                    later[d].append((lack, p, k))
+                    undo(d)
+                    continue
+            elif later[d]:
+                entry = min(later[d])
+                later[d].remove(entry)
+                place(d, entry[2])
+            else:
+                if d == 0:
+                    self.nodes = nodes
+                    return
+                d -= 1
+                undo(d)
                 continue
             if d + 1 == m:
                 self.nodes = nodes
                 yield self.current_partition()
-                undo = n
+                undo(d)
                 continue
             u = used[d]
+            k = assign[d]
             d += 1
             u = used[d] = u + 1 if k == u else u
             # Emptiest bundle first, ties by index (sorted is stable); only the
             # first empty bundle may open, so each unordered partition shows once.
             children[d] = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
             pos[d] = 0
+            later[d] = []
             uncovered[d] = set()
             for b in range(n):
                 gaps = [(i, worst[i] - sums[i][b]) for i in agents if sums[i][b] < worst[i]]
@@ -287,6 +303,10 @@ class _ReferenceSearcher(sf.exact._Searcher):
 
 class _NoCover(_ReferenceSearcher):
     cover = False
+
+
+class _ScoringOrder(_ReferenceSearcher):
+    by_deficit = False  # the order before the deficit order: emptiest bundle first
 
 
 def _walk(searcher_cls, inst, limits, first_only):
@@ -331,7 +351,7 @@ def test_search_matches_reference_engine():
             }
     assert len(ends) == 5 and min(ends.values()) >= 50, ends
 
-    # The perfbench frontier pool at its node budget, and six uniform 8x24
+    # The perfbench frontier pool at its node budget, and seven uniform 8x24
     # draws: the instances where most children are cut.
     limits = sf.SearchLimits(node_budget=40_000, time_budget=3600.0)
     pool = [
@@ -339,7 +359,7 @@ def test_search_matches_reference_engine():
         for n, m in ((5, 10), (5, 15), (6, 12), (6, 15), (6, 18), (7, 14), (7, 21))
         for r in range(3)
     ]
-    pool += [(f"rm:8:24:{r}", 8, 24) for r in range(6)]
+    pool += [(f"rm:8:24:{r}", 8, 24) for r in range(7)]
     timed_out = 0
     for tag, n, m in pool:
         pool_rng = random.Random(tag)
@@ -351,6 +371,58 @@ def test_search_matches_reference_engine():
         assert (end, nodes) == ("budget", 4096) or nodes < 4096
         timed_out += end == "budget"
     assert timed_out >= 10
+
+
+def test_children_go_by_deficit_so_the_first_witness_moves():
+    # The search orders the items b, a, d, c, and puts b and a in bundles of
+    # their own. Both children of d survive. d next to b raises the second
+    # agent's worst to 5 - 3 = 2 and leaves a's bundle 1 short for it, which c
+    # can fill; d next to a leaves no bundle short for anyone. The emptiest-
+    # first order tries d next to b first (equal sizes, lower index) and finds
+    # {b, d}, {a, c}; the deficit order enters the child with deficit 0 at
+    # once and finds {b, c}, {a, d}.
+    inst = sf.Instance.from_rows([[1, 1, 0, 0], [1, 3, 1, 2]])
+    limits = sf.SearchLimits()
+    witness, old_witness = sf.Partition.of({1, 2}, {0, 3}), sf.Partition.of({1, 3}, {0, 2})
+    assert _same_walks(inst, limits, True) == ("found", [(witness, 5)], 5)
+    outcome = sf.exact_symef1(inst)
+    assert (outcome.partition, outcome.nodes) == (witness, 5)
+    assert _walk(_ScoringOrder, inst, limits, True) == ("found", [(old_witness, 4)], 4)
+    assert sf.is_symef1(inst, witness) and sf.is_symef1(inst, old_witness)
+    # The order moves leaves but cuts nothing: both full walks score the same
+    # 9 children and list the same three partitions.
+    end, every, nodes = _same_walks(inst, limits, False)
+    old_end, old_every, old_nodes = _walk(_ScoringOrder, inst, limits, False)
+    assert (end, nodes) == (old_end, old_nodes) == ("exhausted", 9)
+    assert [leaf for leaf, _ in every] == [witness, sf.Partition.of({1}, {0, 2, 3}), old_witness]
+    assert {leaf for leaf, _ in every} == {leaf for leaf, _ in old_every}
+
+
+def _mutant_searcher(old: str, new: str):
+    """``exact._Searcher`` with one line of its source replaced, built in memory."""
+    source = inspect.getsource(sf.exact)
+    assert source.count(old) == 1
+    module = ModuleType("symfair._mutant_exact")
+    module.__package__ = "symfair"
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), module.__dict__)
+    return module._Searcher
+
+
+def test_reference_comparison_catches_a_descending_order():
+    # An engine that enters the survivors with a positive deficit largest
+    # first still cuts the same children and lists the same leaves, so only
+    # the node-for-node comparison with the reference tells it apart.
+    mutant = _mutant_searcher(
+        "late.sort(key=itemgetter(0))", "late.sort(key=itemgetter(0), reverse=True)"
+    )
+    rng = random.Random(62)
+    limits = sf.SearchLimits()
+    caught = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        inst = rand_instance(rng, n, rng.randint(n, 3 * n), 10**4)
+        caught += _walk(mutant, inst, limits, True) != _walk(_ReferenceSearcher, inst, limits, True)
+    assert caught >= 20, caught
 
 
 # ---------------------------------------------------------------------------
