@@ -12,6 +12,7 @@ Items and agents are 0-based in code. The text file formats are 1-based.
 from __future__ import annotations
 
 import math
+import time
 from itertools import chain, product
 from typing import Callable, Iterable, Sequence
 
@@ -73,19 +74,36 @@ class SearchLimits(_Record):
     """Node and time budget of one call to a backtracking search.
 
     The exact search, enumeration, the MNW oracle and ``k_color`` share one
-    rule. A node is one child scored, one leaf or one color assignment. A
-    search stops at node ``node_budget + 1``, and it reads the clock at every
-    4096th node; either stop raises :class:`BudgetExceededError`.
+    rule, which :meth:`start` owns. A node is one child scored, one leaf or
+    one color assignment. A search stops at node ``node_budget + 1`` and reads
+    the clock at every 4096th node; either stop raises :class:`BudgetExceededError`.
+    With ``budget = limits.start()``, a search counts from ``nodes, check = 0,
+    budget(0)`` and at each node runs ``nodes += 1; if nodes == check: check = budget(nodes)``.
     """
 
     __slots__ = ("node_budget", "time_budget")
 
     def __init__(self, node_budget: int = 10_000_000, time_budget: float = 10.0) -> None:
+        if isinstance(node_budget, bool) or not isinstance(node_budget, int):
+            raise ValueError(f"the node budget must be an integer, got {node_budget!r}")
         # "not > 0" also refuses a NaN time budget, which compares false.
         if node_budget < 1 or not time_budget > 0:
             raise ValueError("budgets must be positive")
         _set(self, "node_budget", node_budget)
         _set(self, "time_budget", time_budget)
+
+    def start(self) -> Callable[[int], int]:
+        """Start the clock and return the budget test, which reads no clock at count 0."""
+        deadline = time.monotonic() + self.time_budget
+
+        def budget(nodes: int) -> int:
+            if nodes > self.node_budget:
+                raise BudgetExceededError(f"node budget {self.node_budget} exhausted")
+            if nodes and time.monotonic() > deadline:
+                raise BudgetExceededError(f"time budget {self.time_budget}s exhausted")
+            return min(nodes + 4096, self.node_budget + 1)
+
+        return budget
 
 
 class Instance(_Record):

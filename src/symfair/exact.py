@@ -124,7 +124,6 @@ short agents and the mask of the depths after d is 0.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate
@@ -241,9 +240,7 @@ class _Searcher:
         cols, remaining, assign = self.cols, self.remaining, self.assign
         top, drops = self.top, self.drops
         agents = range(n)
-        node_budget = self.limits.node_budget
-        time_budget = self.limits.time_budget
-        deadline = time.monotonic() + time_budget
+        budget = self.limits.start()
         # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
         sums = [[0] * n for _ in agents]
         maxes = [[0] * n for _ in agents]
@@ -256,7 +253,6 @@ class _Searcher:
         # plans[d] yields the surviving children of the node at depth d, in the
         # child order (module docstring), as (bundle, the child's per-agent
         # deficits, its per-bundle item counts), closed by (-1, None, None).
-        # It counts every child it scores in nodes.
         plans: list = [None] * m
 
         tables = [None] * n  # cover_table(i), built on agent i's first cover query
@@ -325,11 +321,7 @@ class _Searcher:
                 nodes += 1
                 if nodes == check:
                     self.nodes = nodes
-                    if nodes > node_budget:
-                        raise BudgetExceededError(f"node budget {node_budget} exhausted")
-                    if time.monotonic() > deadline:
-                        raise BudgetExceededError(f"time budget {time_budget}s exhausted")
-                    check = min(nodes + 4096, node_budget + 1)
+                    check = budget(nodes)
                 most = room + need[k]
                 if most < 0:
                     continue
@@ -407,10 +399,7 @@ class _Searcher:
                 yield k, deficits, child
             yield -1, None, None
 
-        # check: the next count at which a budget can run out, the first past the
-        # node budget or a multiple of 4096, where the clock is read.
-        nodes = 0
-        check = min(4096, node_budget + 1)
+        nodes, check = 0, budget(0)  # check: the next count to test the budgets at
         plans[0] = score(0, [0], [0] * n, [0] * n)
         d = 0
         while True:
@@ -575,12 +564,12 @@ def max_nash_welfare(
     Primary objective is the number of agents with positive value, secondary
     the product over those agents, so giving everything to one agent never
     beats serving two. Ties go to the lexicographically smallest assignment
-    vector (agent index per item, items in natural order).
+    vector (agent index per item, items in natural order). Each leaf is one
+    node of ``limits`` (default :class:`SearchLimits`, which states the rule).
     """
     _check_guard(inst, force)
     n, m = inst.n, inst.m
-    limits = limits or SearchLimits()
-    deadline = time.monotonic() + limits.time_budget
+    budget = (limits or SearchLimits()).start()
     values = inst.values
     # Odometer over assignment vectors in lexicographic order, from all zeros.
     assignment = [0] * m
@@ -589,13 +578,11 @@ def max_nash_welfare(
     # Every key is at least (0, 1), so the first leaf replaces this start.
     best_key = (-1, 0)
     best_assignment: list[int] = []
-    leaves = 0
+    leaves, check = 0, budget(0)
     while True:
         leaves += 1
-        if leaves > limits.node_budget:
-            raise BudgetExceededError(f"node budget {limits.node_budget} exhausted")
-        if leaves % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError(f"time budget {limits.time_budget}s exhausted")
+        if leaves == check:
+            check = budget(leaves)
         served = sum(1 for t in totals if t > 0)
         product = math.prod(t for t in totals if t > 0)
         key = (served, product)

@@ -12,10 +12,9 @@ some instances are symEF1-solvable with a graph that is not n-colorable.
 from __future__ import annotations
 
 import math
-import time
 from heapq import heapify, heappop, heappush
 
-from .core import BudgetExceededError, Instance, Partition, SearchLimits, _Record, _set, ranking
+from .core import Instance, Partition, SearchLimits, _Record, _set, ranking
 
 IndexedTuples = tuple[tuple[frozenset[int], ...], ...]
 
@@ -109,19 +108,16 @@ def k_color(
     entry pushed (a coloring step pushes at most one per neighbor) rather than
     a scan of all m vertices.
 
-    Every color assignment counts as one node against ``limits`` (default
-    :class:`SearchLimits`); :class:`BudgetExceededError` is raised when the
-    node or time budget runs out.
+    Each color assignment is one node of ``limits`` (default
+    :class:`SearchLimits`, which states the rule).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     m = g.num_vertices
     if m == 0:
         return ()
-    limits = limits or SearchLimits()
-    node_budget = limits.node_budget
-    deadline = time.monotonic() + limits.time_budget
-    nodes = 0
+    budget = (limits or SearchLimits()).start()
+    nodes, check = 0, budget(0)
     adj = g.adjacency()
     degree = [len(a) for a in adj]
     colors = [0] * m
@@ -165,10 +161,8 @@ def k_color(
             push(v)
             continue
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(f"node budget {node_budget} exhausted")
-        if nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError(f"time budget {limits.time_budget}s exhausted")
+        if nodes == check:
+            check = budget(nodes)
         colors[v] = c
         touched = [u for u in adj[v] if colors[u] == 0 and c not in neighbor_colors[u]]
         for u in touched:

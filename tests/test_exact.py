@@ -596,6 +596,11 @@ def test_mnw_node_budget_checked_at_every_leaf():
     inst = rand_instance(random.Random(37), 3, 6, 20)  # 729 leaves
     with pytest.raises(sf.BudgetExceededError):
         sf.max_nash_welfare(inst, sf.SearchLimits(node_budget=5, time_budget=60.0))
+    # The oracle stops at leaf node_budget + 1: all 729 leaves fit a budget of
+    # 729, and the 729th is one too many for 728.
+    sf.max_nash_welfare(inst, sf.SearchLimits(node_budget=729, time_budget=60.0))
+    with pytest.raises(sf.BudgetExceededError, match="^node budget 728 exhausted$"):
+        sf.max_nash_welfare(inst, sf.SearchLimits(node_budget=728, time_budget=60.0))
 
 
 def test_every_engine_names_the_node_budget_it_ran_out_of(monkeypatch):
@@ -611,24 +616,56 @@ def test_every_engine_names_the_node_budget_it_ran_out_of(monkeypatch):
         with pytest.raises(sf.BudgetExceededError, match="^node budget 1 exhausted$"):
             search()
     # A clock one second on at each reading has passed a 0.5 s deadline by the
-    # first time check, at node 4096; each search below has more nodes than that.
+    # first time check, at node 4096; each search below has at least that many
+    # nodes. The budget rule reads the one clock in symfair.core: at the start
+    # and at node 4096, and not before, so a node budget of 4095 stops first.
     identical = sf.Instance.from_rows(rand_instance(rng, 1, 12, 20).values * 3)
+    two = rand_instance(rng, 2, 12, 20)  # 4096 leaves
     path = sf.ItemGraph(5000, tuple((v, v + 1) for v in range(4999)))
-    limits = sf.SearchLimits(time_budget=0.5)
-    for module, search in (
-        ("symfair.exact", lambda: sf.enumerate_symef1(identical, limits)),
-        ("symfair.exact", lambda: sf.max_nash_welfare(rand_instance(rng, 2, 12, 20), limits)),
-        ("symfair.tuples", lambda: sf.k_color(path, 2, limits)),
+    for search in (
+        lambda limits: sf.enumerate_symef1(identical, limits),
+        lambda limits: sf.max_nash_welfare(two, limits),
+        lambda limits: sf.k_color(path, 2, limits),
     ):
-        monkeypatch.setattr(f"{module}.time", SimpleNamespace(monotonic=count().__next__))
-        with pytest.raises(sf.BudgetExceededError, match=r"^time budget 0\.5s exhausted$"):
-            search()
+        for node_budget, reads, message in (
+            (10_000_000, 2, r"^time budget 0\.5s exhausted$"),
+            (4095, 1, "^node budget 4095 exhausted$"),
+        ):
+            clock = count()
+            monkeypatch.setattr("symfair.core.time", SimpleNamespace(monotonic=clock.__next__))
+            with pytest.raises(sf.BudgetExceededError, match=message):
+                search(sf.SearchLimits(node_budget, time_budget=0.5))
+            assert next(clock) == reads
     # The existence search reports the stop in its outcome; this pool instance
     # (frontier 6x15 #1) is proved infeasible at 82 469 nodes.
     pool = rand_instance(random.Random("frontier:6:15:1"), 6, 15, 10**4)
-    monkeypatch.setattr("symfair.exact.time", SimpleNamespace(monotonic=count().__next__))
-    outcome = sf.exact_symef1(pool, limits)
+    clock = count()
+    monkeypatch.setattr("symfair.core.time", SimpleNamespace(monotonic=clock.__next__))
+    outcome = sf.exact_symef1(pool, sf.SearchLimits(time_budget=0.5))
     assert (outcome.status, outcome.nodes) == (sf.ExactStatus.BUDGET_EXCEEDED, 4096)
+    assert next(clock) == 2
+
+
+def test_every_engine_stops_at_an_int_node_budget_only():
+    # The engines test the node count for equality with the next count to
+    # test at, which a budget such as 100.5 never meets; SearchLimits refuses
+    # every node budget that is not an int, bools and whole floats included.
+    for bad in (100.5, 100.0, True, "100", None):
+        with pytest.raises(ValueError, match="^the node budget must be an integer, got "):
+            sf.SearchLimits(node_budget=bad)
+    # frontier 6x15 #1 is proved infeasible at 82 469 nodes, and a 200-vertex
+    # path takes 200 at k = 2; at budget 100 each engine stops at node 101.
+    pool = rand_instance(random.Random("frontier:6:15:1"), 6, 15, 10**4)
+    path = sf.ItemGraph(200, tuple((v, v + 1) for v in range(199)))
+    limits = sf.SearchLimits(node_budget=100)
+    outcome = sf.exact_symef1(pool, limits)
+    assert (outcome.status, outcome.nodes) == (sf.ExactStatus.BUDGET_EXCEEDED, 101)
+    for search in (
+        lambda: sf.max_nash_welfare(pool, limits, force=True),
+        lambda: sf.k_color(path, 2, limits),
+    ):
+        with pytest.raises(sf.BudgetExceededError, match="^node budget 100 exhausted$"):
+            search()
 
 
 def test_mnw_tie_breaks_lexicographically():

@@ -24,6 +24,8 @@ class RefSearchLimits:
     time_budget: float = 10.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.node_budget, bool) or not isinstance(self.node_budget, int):
+            raise ValueError(f"the node budget must be an integer, got {self.node_budget!r}")
         if self.node_budget < 1 or not self.time_budget > 0:
             raise ValueError("budgets must be positive")
 
@@ -162,6 +164,11 @@ CASES = {
     "limits-keyword": lambda C: C.SearchLimits(time_budget=2.0),
     "limits-zero-nodes": lambda C: C.SearchLimits(0),
     "limits-nan-time": lambda C: C.SearchLimits(time_budget=float("nan")),
+    # The engines test the node count for equality, so the node budget is an int.
+    "limits-float-nodes": lambda C: C.SearchLimits(100.5),
+    "limits-whole-float-nodes": lambda C: C.SearchLimits(node_budget=100.0),
+    "limits-bool-nodes": lambda C: C.SearchLimits(True),
+    "limits-float-nodes-nan-time": lambda C: C.SearchLimits(0.5, float("nan")),
     "limits-unknown-keyword": lambda C: C.SearchLimits(nodes=5),
     "limits-too-many": lambda C: C.SearchLimits(1, 2.0, 3),
     "instance": lambda C: C.Instance(2, 3, ((1, 2, 3), (4, 5, 6))),
