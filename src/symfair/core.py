@@ -86,6 +86,8 @@ class SearchLimits(_Record):
     def __init__(self, node_budget: int = 10_000_000, time_budget: float = 10.0) -> None:
         if isinstance(node_budget, bool) or not isinstance(node_budget, int):
             raise ValueError(f"the node budget must be an integer, got {node_budget!r}")
+        if isinstance(time_budget, bool) or not isinstance(time_budget, (int, float)):
+            raise ValueError(f"the time budget must be a number, got {time_budget!r}")
         # "not > 0" also refuses a NaN time budget, which compares false.
         if node_budget < 1 or not time_budget > 0:
             raise ValueError("budgets must be positive")

@@ -81,8 +81,10 @@ order of a walk without the prune. When the enumerated set equals the
 naive oracle's, no symEF1 partition was cut, so both walks accept the same
 leaves in the same order and return the same first witness.
 
-Cost model. A node scores each child when the walk is back at the node, so
-from the node's own bundle sums and maxima. It holds, per agent, the deficit
+Cost model. A node picks its children on entry, from its bundle sizes: the
+nonempty bundles and the first empty one, emptiest first, ties by index. It
+scores each child when the walk is back at the node, so from the node's own
+bundle sums and maxima. It holds, per agent, the deficit
 D_i = sum_k max(0, worst_i - v_i(A_k)) that its parent computed. A child that
 puts the item in bundle k and leaves worst_i where it is changes only bundle
 k's term, in O(1); one that raises worst_i to W rescans the n bundle values
@@ -93,16 +95,15 @@ passes its deficits down as its own D_i, so no node recomputes them.
 
 Each node also holds the need_b of its bundles, which its parent computed.
 top[d] (top over the items at depths >= d) and drops[d] (the agents whose top
-falls from depth d to d + 1) are built once per search, with the suffix sums;
-depths where no top falls share one list. A node at depth d scores children
-that see top[d + 1], so on entry it merges the terms of the drops[d] agents
-into its counts by maximum: their top falls, so their terms only rise. An
-agent whose top falls to 0 is skipped: a child that leaves one of its
-bundles short fails its deficit test, and a child that fills its one short
-bundle k gets entry k recomputed. A child's entry k is the maximum over the
-agents whose worst_i stays of ceil((worst_i - s) / top_i). The child is cut
-as soon as that entry pushes the sum past left, and before any test when
-the other entries already do.
+falls from depth d to d + 1) are built once per search, with the suffix sums.
+A node at depth d scores children that see top[d + 1], so on entry it merges
+the terms of the drops[d] agents into its counts by maximum: their top
+falls, so their terms only rise. An agent whose top falls to 0 is skipped:
+a child that leaves one of its bundles short fails its deficit test, and a
+child that fills its one short bundle k gets entry k recomputed. A child's
+entry k is the maximum over the agents whose worst_i stays of
+ceil((worst_i - s) / top_i). The child is cut as soon as that entry pushes
+the sum past left, and before any test when the other entries already do.
 The agents whose worst_i rises already rescan their row; their terms enter
 the child's counts only once the child has passed every per-agent test
 (their bundle k term is 0). Each child counts as one node when it is scored,
@@ -196,8 +197,7 @@ class _Searcher:
         self.cols = [[inst.values[i][j] for i in range(inst.n)] for j in self.order]
         # remaining[d][i]: agent i's value for the items at depths >= d;
         # top[d][i]: agent i's largest value among them (0 if none);
-        # drops[d]: the agents whose top falls from depth d to d + 1. Depths
-        # where no agent's top falls share one top list.
+        # drops[d]: the agents whose top falls from depth d to d + 1.
         agents = range(self.n)
         self.remaining = remaining = [[0] * self.n] * (self.m + 1)
         self.top = top = [[0] * self.n] * (self.m + 1)
@@ -206,12 +206,8 @@ class _Searcher:
             col = self.cols[d]
             remaining[d] = [r + v for r, v in zip(remaining[d + 1], col)]
             below = top[d + 1]
-            fell = [i for i in agents if col[i] > below[i]]
-            if fell:
-                top[d] = [v if v > u else u for u, v in zip(below, col)]
-                drops[d] = fell
-            else:
-                top[d] = below
+            drops[d] = [i for i in agents if col[i] > below[i]]
+            top[d] = [v if v > u else u for u, v in zip(below, col)]
         self.assign = [0] * self.m
         self.nodes = 0
 
@@ -249,7 +245,6 @@ class _Searcher:
         sizes = [0] * n
         saved_max = [[0] * n for _ in range(m)]
         saved_worst = [[0] * n for _ in range(m)]
-        used = [0] * m  # bundles 0..used[d]-1 are nonempty before depth d
         # plans[d] yields the surviving children of the node at depth d, in the
         # child order (module docstring), as (bundle, the child's per-agent
         # deficits, its per-bundle item counts), closed by (-1, None, None).
@@ -278,15 +273,17 @@ class _Searcher:
                                 break
                 b += 1
 
-        def score(d: int, kids: list[int], base: list[int], need: list[int]) -> Iterator:
+        def score(d: int, base: list[int], need: list[int]) -> Iterator:
             """Cut the node's children that fail a test; yield the rest by deficit.
 
             ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)),
             and ``need[b]`` bundle b's item count max_i ceil((worst_i -
             v_i(A_b)) / top_i) at the node's own depth, or 2 where the cover
-            test failed above. The node owns ``need``: before it scores the
-            first child, it merges the drops into it and raises the entries
-            that fail the cover test here.
+            test failed above. On entry the node picks its children from
+            ``sizes``: the nonempty bundles and the first empty one, emptiest
+            first, ties by index. It owns ``need``: before it scores the first
+            child, it merges the drops into it and raises the entries that
+            fail the cover test here.
 
             Each child is one node, counted and budget-tested before its
             tests, so a child that is cut counts as one that is placed. A
@@ -295,6 +292,8 @@ class _Searcher:
             the order they were scored.
             """
             nonlocal nodes, check
+            u = n - sizes.count(0)  # bundles open in index order; sorted is stable
+            kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
             col = cols[d]
             rem = remaining[d + 1]
             up = top[d + 1]
@@ -400,7 +399,7 @@ class _Searcher:
             yield -1, None, None
 
         nodes, check = 0, budget(0)  # check: the next count to test the budgets at
-        plans[0] = score(0, [0], [0] * n, [0] * n)
+        plans[0] = score(0, [0] * n, [0] * n)
         d = 0
         while True:
             k, deficits, need = next(plans[d])
@@ -440,13 +439,8 @@ class _Searcher:
                 if s - mx > w:
                     worst[i] = s - mx
             sizes[k] += 1
-            u = used[d]
             d += 1
-            u = used[d] = u + 1 if k == u else u
-            # Emptiest bundle first, ties by index (sorted is stable); only the
-            # first empty bundle may open, so each unordered partition shows once.
-            kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
-            plans[d] = score(d, kids, deficits, need)
+            plans[d] = score(d, deficits, need)
 
 
 def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOutcome:

@@ -1,6 +1,8 @@
+import importlib.util
 import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -98,6 +100,31 @@ def test_large_m_ends_in_budget_not_recursion_error():
         sf.enumerate_symef1(rand_instance(rng, 2, 1200, 10**4), limits, force=True)
 
 
+def test_readme_frontier_table_matches_the_search():
+    # README's frontier table is one run of scripts/exact_frontier.py. Its
+    # verdicts and node counts do not depend on the host, so the cheap rows
+    # (5x10, 5x15 and 6x12, at most 1 391 nodes each) are re-run here.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "exact_frontier", os.path.join(root, "scripts", "exact_frontier.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        rows = {
+            label: (verdict, int(nodes.replace(" ", "")))
+            for label, verdict, nodes in re.findall(
+                r"^\| ((?:pool|fresh) \S+ #\d+) \| (\w+) \| ([\d ]+) \|", f.read(), re.M
+            )
+        }
+    cheap = [(label, inst) for label, inst in script.instances()
+             if label.split()[1] in ("5x10", "5x15", "6x12")]
+    assert len(cheap) == 9
+    for label, inst in cheap:
+        outcome = sf.exact_symef1(inst, script.LIMITS)
+        assert (outcome.status.value, outcome.nodes) == rows[label], label
+
+
 def test_witness_check_failure_raises(monkeypatch):
     monkeypatch.setattr("symfair.exact.is_symef1", lambda inst, partition: False)
     with pytest.raises(RuntimeError, match="n=2, m=3"):
@@ -127,6 +154,12 @@ def test_search_limits_validation():
         sf.SearchLimits(time_budget=0.0)
     with pytest.raises(ValueError):
         sf.SearchLimits(time_budget=float("nan"))
+    # The time budget is an int or a float, infinity included; nothing else.
+    for bad in (True, "5", None):
+        with pytest.raises(ValueError, match="the time budget must be a number"):
+            sf.SearchLimits(time_budget=bad)
+    assert sf.SearchLimits(time_budget=3).time_budget == 3
+    assert sf.SearchLimits(time_budget=float("inf")).time_budget == float("inf")
 
 
 # ---------------------------------------------------------------------------

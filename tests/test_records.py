@@ -26,6 +26,8 @@ class RefSearchLimits:
     def __post_init__(self) -> None:
         if isinstance(self.node_budget, bool) or not isinstance(self.node_budget, int):
             raise ValueError(f"the node budget must be an integer, got {self.node_budget!r}")
+        if isinstance(self.time_budget, bool) or not isinstance(self.time_budget, (int, float)):
+            raise ValueError(f"the time budget must be a number, got {self.time_budget!r}")
         if self.node_budget < 1 or not self.time_budget > 0:
             raise ValueError("budgets must be positive")
 
@@ -169,6 +171,10 @@ CASES = {
     "limits-whole-float-nodes": lambda C: C.SearchLimits(node_budget=100.0),
     "limits-bool-nodes": lambda C: C.SearchLimits(True),
     "limits-float-nodes-nan-time": lambda C: C.SearchLimits(0.5, float("nan")),
+    # The time budget is an int or a float, not a bool: start() adds it to the clock.
+    "limits-bool-time": lambda C: C.SearchLimits(time_budget=True),
+    "limits-str-time": lambda C: C.SearchLimits(time_budget="5"),
+    "limits-none-time": lambda C: C.SearchLimits(time_budget=None),
     "limits-unknown-keyword": lambda C: C.SearchLimits(nodes=5),
     "limits-too-many": lambda C: C.SearchLimits(1, 2.0, 3),
     "instance": lambda C: C.Instance(2, 3, ((1, 2, 3), (4, 5, 6))),
