@@ -2,12 +2,13 @@
 
 For n = 2..8 it draws uniform (values 0..10^4) and binary (0/1) instances at a
 small and a large item count, runs every stage of `solve` on each instance
-with the default budgets, and prints a Markdown table. A row gives, for each
-order, which stage decides; the CPU milliseconds of each stage, summed over
-the row's instances; and those of `solve` under each order, which runs the
-stages up to the one that decides. The orders are the one `auto` uses,
-constructive -> heuristic -> exact ("auto"), and constructive -> exact
-("exact first").
+under a node budget alone (10^7 nodes, no time limit), and prints the budget
+and a Markdown table. A row gives, for each order, which stage decides; the
+CPU milliseconds of each stage, summed over the row's instances; and those of
+`solve` under each order, which runs the stages up to the one that decides.
+The orders are the one `auto` uses, constructive -> heuristic -> exact
+("auto"), and constructive -> exact ("exact first"). Which stage decides is
+the same on any host; the times are not.
 
     PYTHONPATH=src python scripts/stage_costs.py
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import random
 import time
 from collections import Counter
@@ -29,6 +31,7 @@ from symfair.cli import AUTO_STAGES, _solve_stage
 REPS = 3  # instances per row
 M_PER_N = (3, 50)  # the small and the large m, as multiples of n
 N = range(2, 9)
+LIMITS = SearchLimits(node_budget=10**7, time_budget=math.inf)
 
 ORDERS = {"auto": AUTO_STAGES, "exact first": ("constructive", "exact")}
 ANSWERED = "answered"
@@ -48,7 +51,7 @@ def run_stages(inst: Instance) -> dict[str, tuple[float, str]]:
     for stage in AUTO_STAGES:
         t0 = time.process_time()
         with contextlib.redirect_stderr(io.StringIO()):
-            partition, token = _solve_stage(inst, stage, SearchLimits())
+            partition, token = _solve_stage(inst, stage, LIMITS)
         out[stage] = (time.process_time() - t0, token if partition is None else ANSWERED)
         if stage == "constructive" and partition is not None:
             break
@@ -69,6 +72,7 @@ def under(order, stages) -> tuple[str, float]:
 def main() -> None:
     for module in ("constructive", "heuristic", "exact"):
         getattr(symfair, module)  # import the engines now, so no stage's time includes it
+    print(f"node budget {LIMITS.node_budget}, no time limit\n")
     columns = ["rows", "n", "m", "decided by (auto / exact first)",
                *(SHORT[s] for s in AUTO_STAGES), *ORDERS]
     print("| " + " | ".join(columns) + " |")

@@ -400,15 +400,17 @@ def _render_bundles(partition: Partition) -> str:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers with inclusive a..b ranges, e.g. '5..10,15'."""
+    """Comma-separated integers with inclusive a..b ranges, a <= b, e.g. '5..10,15'."""
     values: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, chunk.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"reversed range {chunk!r} in integer list {text!r}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(chunk))
     if not values:

@@ -115,8 +115,8 @@ merge and before it scores any child, for all its bundles at once, and
 raises the failed entries to 2 in its own counts. A child that puts item d
 into a raised bundle k recomputes entry k, so its bound room + need[k],
 taken after the raise, is exactly that the child's counts fit in the items
-left. A query costs one binary search and one AND per short agent. An
-agent's table, built on its first query in a search, lists its values
+left. A query costs one binary search and one AND per short agent. Every
+agent's table, built at the search's first cover query, lists its values
 sorted with prefix bitmasks of their depths, so the items worth at least g_i
 to it are one prefix mask; b fails when the AND of these masks over its
 short agents and the mask of the depths after d is 0.
@@ -128,7 +128,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate
-from operator import itemgetter, neg, or_
+from operator import itemgetter, or_
 from typing import Iterator
 
 from .core import (
@@ -222,7 +222,7 @@ class _Searcher:
         row = [col[i] for col in self.cols]
         ranked = sorted(range(m), key=row.__getitem__, reverse=True)
         bits = [1 << (m - 1 - e) for e in ranked]
-        return sorted(map(neg, row)), list(accumulate(bits, or_, initial=0))
+        return [-row[e] for e in ranked], list(accumulate(bits, or_, initial=0))
 
     def current_partition(self) -> Partition:
         return Partition.from_labels(zip(self.order, self.assign), self.n)
@@ -247,31 +247,10 @@ class _Searcher:
         saved_worst = [[0] * n for _ in range(m)]
         # plans[d] yields the surviving children of the node at depth d, in the
         # child order (module docstring), as (bundle, the child's per-agent
-        # deficits, its per-bundle item counts), closed by (-1, None, None).
+        # deficits, its per-bundle item counts).
         plans: list = [None] * m
-
-        tables = [None] * n  # cover_table(i), built on agent i's first cover query
-
-        def raise_uncovered(d: int, need: list[int]) -> None:
-            """Set need[b] = 2 where the cover test fails."""
-            later = (1 << (m - 1 - d)) - 1  # the depths after d
-            b = 0
-            for c in need:
-                if c == 1:
-                    free = later
-                    for i in agents:
-                        y = sums[i][b]
-                        w = worst[i]
-                        if y < w:
-                            table = tables[i]
-                            if table is None:
-                                table = tables[i] = self.cover_table(i)
-                            negs, masks = table
-                            free &= masks[bisect_right(negs, y - w)]
-                            if not free:
-                                need[b] = 2
-                                break
-                b += 1
+        # tables[i] = cover_table(i) for every agent, built at the first cover query.
+        tables = None
 
         def score(d: int, base: list[int], need: list[int]) -> Iterator:
             """Cut the node's children that fail a test; yield the rest by deficit.
@@ -291,7 +270,7 @@ class _Searcher:
             wait for the last child and go by ascending deficit sum, ties in
             the order they were scored.
             """
-            nonlocal nodes, check
+            nonlocal nodes, check, tables
             u = n - sizes.count(0)  # bundles open in index order; sorted is stable
             kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
             col = cols[d]
@@ -311,7 +290,24 @@ class _Searcher:
                                 need[b] = q
                         b += 1
             if 1 in need:
-                raise_uncovered(d, need)
+                # The cover test (module docstring): need[b] = 2 where it fails.
+                if tables is None:
+                    tables = [self.cover_table(i) for i in agents]
+                later = (1 << (m - 1 - d)) - 1  # the depths after d
+                b = 0
+                for c in need:
+                    if c == 1:
+                        free = later
+                        for i in agents:
+                            y = sums[i][b]
+                            w = worst[i]
+                            if y < w:
+                                negs, masks = tables[i]
+                                free &= masks[bisect_right(negs, y - w)]
+                                if not free:
+                                    need[b] = 2
+                                    break
+                    b += 1
             # A child in bundle k is cut once it needs more than room + need[k]
             # items there: the other bundles' entries only rise.
             room = m - d - 1 - sum(need)
@@ -396,14 +392,13 @@ class _Searcher:
             late.sort(key=itemgetter(0))  # stable: ties keep the scoring order
             for _, k, deficits, child in late:
                 yield k, deficits, child
-            yield -1, None, None
 
         nodes, check = 0, budget(0)  # check: the next count to test the budgets at
         plans[0] = score(0, [0] * n, [0] * n)
         d = 0
         while True:
-            k, deficits, need = next(plans[d])
-            if k < 0:
+            step = next(plans[d], None)
+            if step is None:
                 if d == 0:
                     self.nodes = nodes
                     return
@@ -418,6 +413,7 @@ class _Searcher:
                     worst[i] = sw[i]
                 sizes[k] -= 1
                 continue
+            k, deficits, need = step
             assign[d] = k
             if d + 1 == m:
                 self.nodes = nodes

@@ -1,6 +1,8 @@
 import argparse
+import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +116,7 @@ def test_option_errors_exit_2(files, capsys):
         sim + ["--max-value", str(2**63)],
         sim + ["--n", "2..x"],
         sim + ["--m", ","],
+        sim + ["--m", "6..5,7"],
         sim + ["--workers", "0"],
         sim + ["--seed", "-1"],
     ]
@@ -504,8 +507,36 @@ def test_parse_int_list():
     assert _parse_int_list("3,4,5") == (3, 4, 5)
     assert _parse_int_list("5..10,15") == (5, 6, 7, 8, 9, 10, 15)
     assert _parse_int_list("7") == (7,)
+    assert _parse_int_list("4..4") == (4,)
     with pytest.raises(ValueError):
         _parse_int_list(",")
+    # A reversed range is an error, not an empty one, even beside other values.
+    with pytest.raises(ValueError, match="reversed range '6..5'"):
+        _parse_int_list("6..5,7")
+
+
+def test_readme_stage_table_matches_the_script(capsys):
+    # README's "Stage order" table is one run of scripts/stage_costs.py under a
+    # node budget alone, so which stage decides does not depend on the host.
+    # The cheap rows (n = 2..5 at m = 3n, uniform and binary) are re-run here.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "stage_costs", os.path.join(root, "scripts", "stage_costs.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.N, script.M_PER_N = range(2, 6), (3,)
+    row = re.compile(r"^\| (uniform|binary) \| (\d+) \| (\d+) \| ([^|]+) \|", re.M)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        committed = {(rows, n, m): decided for rows, n, m, decided in row.findall(f.read())}
+    capsys.readouterr()
+    script.main()
+    out = capsys.readouterr().out
+    assert out.startswith("node budget 10000000, no time limit\n")
+    cheap = row.findall(out)
+    assert len(cheap) == 8
+    for rows, n, m, decided in cheap:
+        assert decided == committed[rows, n, m], (rows, n, m)
 
 
 def test_version_flag(capsys):

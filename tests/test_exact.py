@@ -575,6 +575,27 @@ def test_cover_cuts_a_child_the_item_count_test_passes():
     assert {sf.canonical_partition(leaf) for leaf, _ in found} == sf.naive_enumerate_symef1(inst)
 
 
+def test_cover_tables_built_for_every_agent_at_the_first_cover_query(monkeypatch):
+    # A search builds every agent's cover table once, at its first cover
+    # query, and a search that runs no query builds none. On the instance
+    # above, enumeration's cover queries find only the first two agents
+    # short; the existence search finds a witness before any query.
+    built = []
+    cover_table = sf.exact._Searcher.cover_table
+
+    def recording(self, i):
+        built.append(i)
+        return cover_table(self, i)
+
+    monkeypatch.setattr(sf.exact._Searcher, "cover_table", recording)
+    inst = sf.Instance.from_rows([[3, 2, 1, 2, 0], [0, 1, 1, 3, 3], [0, 1, 0, 0, 1]])
+    assert len(sf.enumerate_symef1(inst)) == 3
+    assert built == [0, 1, 2]
+    built.clear()
+    assert sf.exact_symef1(inst).nodes == 7
+    assert built == []
+
+
 def test_pairs_guaranteed_for_two_agents_four_distinct_items():
     rng = random.Random(34)
     tested = 0
