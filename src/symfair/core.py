@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import chain, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -149,13 +149,17 @@ class Instance(_Record):
 class Partition(_Record):
     """n disjoint bundles of item indices. Empty bundles are allowed.
 
-    Bundle order is significant for equality; use ``exact.canonical_partition``
-    when partitions should compare as unordered families.
+    ``bundles`` is stored as a tuple of frozensets, whatever collections of items
+    were passed, so a partition is hashable and its bundles cannot change after
+    the disjointness check. Bundle order is significant for equality; use
+    ``exact.canonical_partition`` when partitions should compare as unordered
+    families.
     """
 
     __slots__ = ("bundles",)
 
-    def __init__(self, bundles: tuple[frozenset[int], ...]) -> None:
+    def __init__(self, bundles: Iterable[Collection[int]]) -> None:
+        bundles = tuple(bundles)  # the same object for a tuple
         seen: set[int] = set()
         total = 0
         for b in bundles:
@@ -166,7 +170,7 @@ class Partition(_Record):
             seen.update(b)
         if len(seen) != total:
             raise ValueError("bundles are not pairwise disjoint")
-        _set(self, "bundles", bundles)
+        _set(self, "bundles", tuple(map(frozenset, bundles)))
 
     @classmethod
     def of(cls, *bundles: Iterable[int]) -> "Partition":
@@ -215,8 +219,9 @@ def order_items(inst: Instance, mode: str = "index", seed: int | None = None) ->
     if mode == "index":
         return tuple(range(inst.m))
     if mode == "desc-total-value":
-        totals = [sum(inst.values[i][j] for i in range(inst.n)) for j in range(inst.m)]
-        return tuple(sorted(range(inst.m), key=lambda j: (-totals[j], j)))
+        totals = [sum(column) for column in zip(*inst.values)]
+        # A reverse sort is stable too, so equal totals keep ascending index.
+        return tuple(sorted(range(inst.m), key=totals.__getitem__, reverse=True))
     if mode == "random":
         import random  # here, so that loading core does not load it
 

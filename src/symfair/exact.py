@@ -81,17 +81,24 @@ order of a walk without the prune. When the enumerated set equals the
 naive oracle's, no symEF1 partition was cut, so both walks accept the same
 leaves in the same order and return the same first witness.
 
-Cost model. A node picks its children on entry, from its bundle sizes: the
-nonempty bundles and the first empty one, emptiest first, ties by index. It
+Cost model. A node's children are the nonempty bundles and the first empty
+one, emptiest first, ties by index: a list that depends on the bundle sizes
+alone. On entry a node takes it from a per-search table keyed by its sizes,
+which sorts it at the first node of each shape; a search meets few shapes
+(at most 498 in a frontier-pool search, 2 485 in the first 10^6 nodes of a
+uniform 8x80 draw). It
 scores each child when the walk is back at the node, so from the node's own
-bundle sums and maxima. It holds, per agent, the deficit
+bundle sums and maxima. It holds, per agent, worst_i and the deficit
 D_i = sum_k max(0, worst_i - v_i(A_k)) that its parent computed. A child that
 puts the item in bundle k and leaves worst_i where it is changes only bundle
 k's term, in O(1); one that raises worst_i to W rescans the n bundle values
 once (bundle k's own term is 0 before and after, as W is at most its old
 value). Agents are tested in order and a child is cut at the first one that
 fails. Only the surviving children are placed and later undone, and each
-passes its deficits down as its own D_i, so no node recomputes them.
+passes its deficits down as its own D_i, so no node recomputes them. A
+survivor that raises some worst_i gets its own copy of the list with those
+entries raised; the others share their node's, and no list changes once
+made, so undoing a child restores only its bundle's sums and maxima.
 
 Each node also holds the need_b of its bundles, which its parent computed.
 top[d] (top over the items at depths >= d) and drops[d] (the agents whose top
@@ -240,29 +247,31 @@ class _Searcher:
         # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
         sums = [[0] * n for _ in agents]
         maxes = [[0] * n for _ in agents]
-        # worst[i] = max_k (sums[i][k] - maxes[i][k]), a lower bound on its final value.
-        worst = [0] * n
         sizes = [0] * n
         saved_max = [[0] * n for _ in range(m)]
-        saved_worst = [[0] * n for _ in range(m)]
         # plans[d] yields the surviving children of the node at depth d, in the
-        # child order (module docstring), as (bundle, the child's per-agent
-        # deficits, its per-bundle item counts).
+        # child order (module docstring), as (bundle, the child's worst_i, its
+        # per-agent deficits, its per-bundle item counts).
         plans: list = [None] * m
+        # shapes[tuple(sizes)]: the child list of every node with those bundle sizes.
+        shapes: dict = {}
         # tables[i] = cover_table(i) for every agent, built at the first cover query.
         tables = None
 
-        def score(d: int, base: list[int], need: list[int]) -> Iterator:
+        def score(d: int, worst: list[int], base: list[int], need: list[int]) -> Iterator:
             """Cut the node's children that fail a test; yield the rest by deficit.
 
-            ``base[i]`` is the node's deficit sum_k max(0, worst_i - v_i(A_k)),
-            and ``need[b]`` bundle b's item count max_i ceil((worst_i -
-            v_i(A_b)) / top_i) at the node's own depth, or 2 where the cover
-            test failed above. On entry the node picks its children from
-            ``sizes``: the nonempty bundles and the first empty one, emptiest
-            first, ties by index. It owns ``need``: before it scores the first
-            child, it merges the drops into it and raises the entries that
-            fail the cover test here.
+            ``worst[i]`` is the node's worst_i = max_k (v_i(A_k) - max_i(A_k)),
+            in a list that its parent and siblings may share, so no node
+            changes it; ``base[i]`` is its deficit sum_k max(0, worst_i -
+            v_i(A_k)), and ``need[b]`` bundle b's item count max_i
+            ceil((worst_i - v_i(A_b)) / top_i) at the node's own depth, or 2
+            where the cover test failed above. On entry the node
+            takes its child list from ``shapes``, keyed by ``sizes``: the
+            nonempty bundles and the first empty one, emptiest first, ties by
+            index, sorted at the first node of that shape. It owns ``need``:
+            before it scores the first child, it merges the drops into it and
+            raises the entries that fail the cover test here.
 
             Each child is one node, counted and budget-tested before its
             tests, so a child that is cut counts as one that is placed. A
@@ -271,8 +280,12 @@ class _Searcher:
             the order they were scored.
             """
             nonlocal nodes, check, tables
-            u = n - sizes.count(0)  # bundles open in index order; sorted is stable
-            kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
+            shape = tuple(sizes)
+            kids = shapes.get(shape)
+            if kids is None:
+                u = n - sizes.count(0)  # bundles open in index order; sorted is stable
+                kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
+                shapes[shape] = kids
             col = cols[d]
             rem = remaining[d + 1]
             up = top[d + 1]
@@ -341,12 +354,14 @@ class _Searcher:
                                 deficit += t - y
                                 if deficit > r:
                                     break
-                        if deficit > r:
-                            break
-                        if rising:
-                            rising.append((i, t))
                         else:
-                            rising = [(i, t)]
+                            if rising:
+                                rising.append((i, t))
+                            else:
+                                rising = [(i, t)]
+                            deficits.append(deficit)
+                            continue
+                        break
                     else:
                         # Only bundle k's term changes: max(0, w - x) becomes
                         # max(0, w - s).
@@ -384,17 +399,23 @@ class _Searcher:
                                 b += 1
                         if over > 0:
                             continue
+                        raised = worst.copy()
+                        for i, t in rising:
+                            raised[i] = t
+                    else:
+                        raised = worst
                     total = sum(deficits)
                     if total:
-                        late.append((total, k, deficits, child))
+                        late.append((total, k, raised, deficits, child))
                     else:
-                        yield k, deficits, child
-            late.sort(key=itemgetter(0))  # stable: ties keep the scoring order
-            for _, k, deficits, child in late:
-                yield k, deficits, child
+                        yield k, raised, deficits, child
+            if len(late) > 1:
+                late.sort(key=itemgetter(0))  # stable: ties keep the scoring order
+            for _, k, raised, deficits, child in late:
+                yield k, raised, deficits, child
 
         nodes, check = 0, budget(0)  # check: the next count to test the budgets at
-        plans[0] = score(0, [0] * n, [0] * n)
+        plans[0] = score(0, [0] * n, [0] * n, [0] * n)
         d = 0
         while True:
             step = next(plans[d], None)
@@ -406,14 +427,12 @@ class _Searcher:
                 k = assign[d]
                 col = cols[d]
                 sm = saved_max[d]
-                sw = saved_worst[d]
                 for i in agents:
                     sums[i][k] -= col[i]
                     maxes[i][k] = sm[i]
-                    worst[i] = sw[i]
                 sizes[k] -= 1
                 continue
-            k, deficits, need = step
+            k, worst, deficits, need = step
             assign[d] = k
             if d + 1 == m:
                 self.nodes = nodes
@@ -421,22 +440,16 @@ class _Searcher:
                 continue
             col = cols[d]
             sm = saved_max[d]
-            sw = saved_worst[d]
             for i in agents:
                 v = col[i]
-                srow = sums[i]
-                s = srow[k] + v
-                srow[k] = s
+                sums[i][k] += v
                 mrow = maxes[i]
                 mx = sm[i] = mrow[k]
                 if v > mx:
-                    mrow[k] = mx = v
-                w = sw[i] = worst[i]
-                if s - mx > w:
-                    worst[i] = s - mx
+                    mrow[k] = v
             sizes[k] += 1
             d += 1
-            plans[d] = score(d, deficits, need)
+            plans[d] = score(d, worst, deficits, need)
 
 
 def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOutcome:

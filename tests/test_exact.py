@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import math
 import os
 import random
 import re
@@ -100,17 +101,25 @@ def test_large_m_ends_in_budget_not_recursion_error():
         sf.enumerate_symef1(rand_instance(rng, 2, 1200, 10**4), limits, force=True)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _script(name: str) -> ModuleType:
+    """``scripts/<name>.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_readme_frontier_table_matches_the_search():
     # README's frontier table is one run of scripts/exact_frontier.py. Its
     # verdicts and node counts do not depend on the host, so the cheap rows
     # (5x10, 5x15 and 6x12, at most 1 391 nodes each) are re-run here.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "exact_frontier", os.path.join(root, "scripts", "exact_frontier.py")
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+    script = _script("exact_frontier")
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         rows = {
             label: (verdict, int(nodes.replace(" ", "")))
             for label, verdict, nodes in re.findall(
@@ -123,6 +132,56 @@ def test_readme_frontier_table_matches_the_search():
     for label, inst in cheap:
         outcome = sf.exact_symef1(inst, script.LIMITS)
         assert (outcome.status.value, outcome.nodes) == rows[label], label
+
+
+def test_one_search_leaves_no_state_for_the_next():
+    # Every table a search fills (cover tables, child lists by bundle sizes)
+    # and every per-depth frame belongs to that search. So each search of
+    # the frontier pool and of a few binary rows gives the same outcome when
+    # run again after other searches, and enumeration after an existence
+    # search lists what a fresh enumeration listed.
+    limits = sf.SearchLimits(node_budget=40_000, time_budget=math.inf)
+    rng = random.Random("no-state")
+    binary = [sf.Instance.from_rows([[rng.randint(0, 1) for _ in range(m)] for _ in range(n)])
+              for n, m in ((3, 9), (4, 10), (5, 10), (6, 12))]
+    pool = [inst for label, inst in _script("exact_frontier").instances()
+            if label.startswith("pool")]
+    assert len(pool) == 21
+
+    def outcome(inst):
+        o = sf.exact_symef1(inst, limits)
+        return o.status, o.nodes, o.partition
+
+    first = [outcome(inst) for inst in pool + binary]
+    # In reverse, each search follows another one than the first time.
+    again = [outcome(inst) for inst in reversed(pool + binary)]
+    assert first == again[::-1]
+    assert sum(status is sf.ExactStatus.BUDGET_EXCEEDED for status, _, _ in first) == 2
+    for inst in binary + pool[:3]:
+        fresh = sf.enumerate_symef1(inst, limits, force=True)
+        sf.exact_symef1(inst, limits)
+        assert sf.enumerate_symef1(inst, limits, force=True) == fresh
+
+
+def test_exact_ab_requires_equal_outcomes(tmp_path, capsys):
+    # scripts/exact_ab.py times two trees' exact.py only where both return the
+    # same (status, nodes, partition) on every instance: the tree against
+    # itself passes, and a tree whose waiting children go largest deficit
+    # first is refused.
+    script = _script("exact_ab")
+    src = os.path.dirname(os.path.dirname(sf.exact.__file__))
+    assert script.main([src, src, "--passes", "1"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^frontier: 21 instances, .* old and new agree", out, re.M)
+    assert re.search(r"^grid: 318 instances, .* old and new agree", out, re.M)
+    source = inspect.getsource(sf.exact)
+    old = "late.sort(key=itemgetter(0))"
+    assert source.count(old) == 1
+    (tmp_path / "symfair").mkdir()
+    (tmp_path / "symfair" / "exact.py").write_text(
+        source.replace(old, "late.sort(key=itemgetter(0), reverse=True)"), encoding="utf-8")
+    assert script.main([src, str(tmp_path)]) == 1
+    assert "differ" in capsys.readouterr().out
 
 
 def test_witness_check_failure_raises(monkeypatch):

@@ -321,6 +321,19 @@ def test_item_orders():
         sf.order_items(inst, "fancy")
 
 
+@pytest.mark.parametrize("top", [1, 3])
+def test_desc_total_value_order_breaks_ties_by_index(top):
+    # Rows full of equal totals: the order must be the plain (-total, index) sort.
+    rng = random.Random(f"order-ties:{top}")
+    for m in range(41):
+        for n in (1, 2, 3, 5):
+            inst = sf.Instance.from_rows([[rng.randint(0, top) for _ in range(m)]
+                                          for _ in range(n)])
+            totals = [sum(row[j] for row in inst.values) for j in range(m)]
+            want = tuple(sorted(range(m), key=lambda j: (-totals[j], j)))
+            assert sf.order_items(inst, "desc-total-value") == want
+
+
 def test_rescan_picks_up_previously_rejected_items():
     # Force an order where some item is unplaceable at first sight but fits
     # after later items reshape the bundles; the outer loop must retry it.

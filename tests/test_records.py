@@ -58,6 +58,7 @@ class RefPartition:
     bundles: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bundles", tuple(self.bundles))
         seen = set()
         total = 0
         for b in self.bundles:
@@ -68,6 +69,7 @@ class RefPartition:
             seen.update(b)
         if len(seen) != total:
             raise ValueError("bundles are not pairwise disjoint")
+        object.__setattr__(self, "bundles", tuple(map(frozenset, self.bundles)))
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,11 @@ CASES = {
     "partition-str": lambda C: C.Partition((frozenset({"1"}),)),
     "partition-negative": lambda C: C.Partition((frozenset({-1}),)),
     "partition-overlap": lambda C: C.Partition((frozenset({0, 1}), frozenset({1}))),
+    # Bundles are stored as a tuple of frozensets, whatever collections were passed.
+    "partition-sets": lambda C: C.Partition([{0, 1}, {2}]),
+    "partition-lists": lambda C: C.Partition(([2, 0], [], [1])),
+    "partition-list-repeats": lambda C: C.Partition(([0, 0],)),
+    "partition-generator": lambda C: C.Partition({j} for j in range(3)),
     "assignment": lambda C: C.Assignment(C.Partition(P), (1, 0)),
     "assignment-keyword": lambda C: C.Assignment(owner=(0, 1), partition=C.Partition(P)),
     "assignment-bad-owner": lambda C: C.Assignment(C.Partition(P), (1, 1)),
@@ -266,3 +273,19 @@ def test_record_matches_dataclass_twin(case):
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(record, name)
     assert record == again
+
+
+def test_partition_freezes_its_bundles():
+    items = [{0, 1}, {2}]
+    p = sf.Partition(items)
+    assert p.bundles == (frozenset({0, 1}), frozenset({2}))
+    assert hash(p) == hash(sf.Partition.of({0, 1}, {2}))
+    # Changing the caller's sets, or the stored bundles, cannot undo the
+    # disjointness check.
+    items[0].add(2)
+    assert p.bundles[0] == {0, 1}
+    with pytest.raises(AttributeError):
+        p.bundles[0].add(2)
+    # Frozen bundles are kept as the same objects.
+    frozen = (frozenset({0}), frozenset())
+    assert all(a is b for a, b in zip(sf.Partition(frozen).bundles, frozen))
