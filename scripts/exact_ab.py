@@ -16,8 +16,11 @@ The instances are rebuilt here, not imported from perfbench:
   seed 42), each replication the greedy builder fails, searched under a
   10^7-node budget and no time limit.
 
-Both sides must return the same (status, nodes, partition) on every
-instance; the script exits 1 at the first difference. It then runs N passes
+First it prints each side's CPU to build the search kernels (``_kernel``,
+one per agent count) that these instances use, so no timed pass includes a
+build; a tree whose ``exact.py`` has no kernels prints "-". Both sides must
+return the same (status, nodes, partition) on every instance; the script
+exits 1 at the first difference. It then runs N passes
 per side (default 5), alternating which side goes first, times each group of
 a pass with ``time.process_time`` and prints each side's minimum and median
 CPU per group.
@@ -80,6 +83,17 @@ def grid_fallbacks() -> list[Instance]:
     return out
 
 
+def build_kernels(exact, sizes) -> str:
+    """CPU milliseconds to build ``exact``'s kernels for these agent counts, or "-"."""
+    kernel = getattr(exact, "_kernel", None)
+    if kernel is None:
+        return "-"
+    t0 = time.process_time()
+    for n in sizes:
+        kernel(n)
+    return f"{1e3 * (time.process_time() - t0):.1f}"
+
+
 def run(exact, instances, limits) -> list[tuple]:
     results = []
     for inst in instances:
@@ -101,6 +115,10 @@ def main(argv: list[str] | None = None) -> int:
         "frontier": (frontier_pool(), FRONTIER_LIMITS),
         "grid": (grid_fallbacks(), GRID_LIMITS),
     }
+    sizes = sorted({inst.n for instances, _ in groups.values() for inst in instances})
+    built = {side: build_kernels(exact, sizes) for side, exact in sides.items()}
+    print(f"kernel build CPU ms, n = {', '.join(map(str, sizes))}: "
+          f"old {built['old']}, new {built['new']}")
     for group, (instances, limits) in groups.items():
         want = run(sides["old"], instances, limits)
         got = run(sides["new"], instances, limits)

@@ -127,13 +127,30 @@ agent's table, built at the search's first cover query, lists its values
 sorted with prefix bitmasks of their depths, so the items worth at least g_i
 to it are one prefix mask; b fails when the AND of these masks over its
 short agents and the mask of the depths after d is 0.
+
+The search runs one kernel per agent count: ``_kernel(n)`` writes out the
+template ``_LEAVES`` (the walk and ``score``) for agents 0..n-1, compiles it
+at the first search with n agents and keeps it for the process. Each
+per-agent step is written once per agent: the child test (the rise and its
+rescan, the deficit, the item count, the cut), placing and undoing a child,
+and the cover query. A node unpacks its item's values, worst_i, its
+deficits, R_i and top_i into locals on entry, and a search binds each
+agent's sums and maxima rows, and at its first cover query its cover table,
+to names, so no per-agent step indexes a per-agent list and a survivor
+builds its deficit list once. The loops over bundles stay loops: the
+rescans, the drops merge and the rising merge. The agents' blocks follow
+one another, never nest, so every n compiles. A build takes about 2-7 ms of
+CPU for n <= 10, 42 ms at n = 100 and 0.38 s (132 MB peak RSS) at n = 1000
+(Python 3.11).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from enum import Enum
+from functools import cache
 from itertools import accumulate
 from operator import itemgetter, or_
 from typing import Iterator
@@ -235,221 +252,274 @@ class _Searcher:
         return Partition.from_labels(zip(self.order, self.assign), self.n)
 
     def leaves(self) -> Iterator[Partition]:
-        """Every symEF1 leaf in DFS order; raises BudgetExceededError mid-walk."""
-        n, m = self.n, self.m
-        if m == 0:
-            yield self.current_partition()
-            return
-        cols, remaining, assign = self.cols, self.remaining, self.assign
-        top, drops = self.top, self.drops
-        agents = range(n)
-        budget = self.limits.start()
-        # sums[i][k], maxes[i][k]: agent i's value of bundle k and of its best item.
-        sums = [[0] * n for _ in agents]
-        maxes = [[0] * n for _ in agents]
-        sizes = [0] * n
-        saved_max = [[0] * n for _ in range(m)]
-        # plans[d] yields the surviving children of the node at depth d, in the
-        # child order (module docstring), as (bundle, the child's worst_i, its
-        # per-agent deficits, its per-bundle item counts).
-        plans: list = [None] * m
-        # shapes[tuple(sizes)]: the child list of every node with those bundle sizes.
-        shapes: dict = {}
-        # tables[i] = cover_table(i) for every agent, built at the first cover query.
-        tables = None
+        """Every symEF1 leaf in DFS order; raises BudgetExceededError mid-walk.
 
-        def score(d: int, worst: list[int], base: list[int], need: list[int]) -> Iterator:
-            """Cut the node's children that fail a test; yield the rest by deficit.
+        The walk is this n's search kernel (``_kernel``), built from ``_LEAVES``.
+        """
+        return _kernel(self.n)(self)
 
-            ``worst[i]`` is the node's worst_i = max_k (v_i(A_k) - max_i(A_k)),
-            in a list that its parent and siblings may share, so no node
-            changes it; ``base[i]`` is its deficit sum_k max(0, worst_i -
-            v_i(A_k)), and ``need[b]`` bundle b's item count max_i
-            ceil((worst_i - v_i(A_b)) / top_i) at the node's own depth, or 2
-            where the cover test failed above. On entry the node
-            takes its child list from ``shapes``, keyed by ``sizes``: the
-            nonempty bundles and the first empty one, emptiest first, ties by
-            index, sorted at the first node of that shape. It owns ``need``:
-            before it scores the first child, it merges the drops into it and
-            raises the entries that fail the cover test here.
 
-            Each child is one node, counted and budget-tested before its
-            tests, so a child that is cut counts as one that is placed. A
-            survivor whose deficits are all 0 is yielded at once; the others
-            wait for the last child and go by ascending deficit sum, ties in
-            the order they were scored.
-            """
-            nonlocal nodes, check, tables
-            shape = tuple(sizes)
-            kids = shapes.get(shape)
-            if kids is None:
-                u = n - sizes.count(0)  # bundles open in index order; sorted is stable
-                kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
-                shapes[shape] = kids
-            col = cols[d]
-            rem = remaining[d + 1]
-            up = top[d + 1]
-            for i in drops[d]:
-                # Agent i's top falls for the children, so its terms only rise;
-                # with no value left (u = 0) its deficit test cuts instead.
-                w = worst[i]
-                u = up[i]
-                if w and u:
+# The source of _Searcher.leaves, the walk and its node scorer ``score``, for
+# any agent count. ``_expand`` writes the lines between "# for each agent {i}:"
+# and "# end for each agent" once per agent, and each ``$(...)`` as a list of
+# its text for every agent, ``{i}`` the agent's index in both. Agent i's
+# values live in locals: S{i} and M{i} are its rows of sums and maxes; in
+# ``score``, c{i} is its value of the node's item, w{i}, b{i}, r{i} and u{i}
+# its worst_i, deficit, R_i and top_i as the children see them, and e{i}
+# a child's deficit; in the walk, p{i} is the best value an undo restores.
+_LEAVES = '''
+def leaves(self):
+    n, m = self.n, self.m
+    if m == 0:
+        yield self.current_partition()
+        return
+    cols, remaining, assign = self.cols, self.remaining, self.assign
+    top, drops = self.top, self.drops
+    budget = self.limits.start()
+    # sums[i][k] = S{i}[k], M{i}[k]: agent i's value of bundle k and of its best item.
+    sums = [[0] * n for _ in range(n)]
+    $(S{i}) = sums
+    $(M{i}) = [[0] * n for _ in range(n)]
+    sizes = [0] * n
+    # saved_max[d]: each agent's best value in the bundle that item d entered, before it.
+    saved_max = [None] * m
+    # plans[d] yields the surviving children of the node at depth d, in the
+    # child order (module docstring), as (bundle, the child's worst_i, its
+    # per-agent deficits, its per-bundle item counts).
+    plans: list = [None] * m
+    # shapes[tuple(sizes)]: the child list of every node with those bundle sizes.
+    shapes: dict = {}
+    # (negs{i}, masks{i}) = cover_table(i), built for every agent at the
+    # search's first cover query.
+    # for each agent {i}:
+    negs{i} = masks{i} = None
+    # end for each agent
+
+    def score(d, worst, base, need):
+        """Cut the node's children that fail a test; yield the rest by deficit.
+
+        ``worst[i]`` is the node's worst_i = max_k (v_i(A_k) - max_i(A_k)),
+        in a list that its parent and siblings may share, so no node
+        changes it; ``base[i]`` is its deficit sum_k max(0, worst_i -
+        v_i(A_k)), and ``need[b]`` bundle b's item count max_i
+        ceil((worst_i - v_i(A_b)) / top_i) at the node's own depth, or 2
+        where the cover test failed above. On entry the node
+        takes its child list from ``shapes``, keyed by ``sizes``: the
+        nonempty bundles and the first empty one, emptiest first, ties by
+        index, sorted at the first node of that shape. It owns ``need``:
+        before it scores the first child, it merges the drops into it and
+        raises the entries that fail the cover test here.
+
+        Each child is one node, counted and budget-tested before its
+        tests, so a child that is cut counts as one that is placed. A
+        survivor whose deficits are all 0 is yielded at once; the others
+        wait for the last child and go by ascending deficit sum, ties in
+        the order they were scored.
+        """
+        nonlocal nodes, check
+        # for each agent {i}:
+        nonlocal negs{i}, masks{i}
+        # end for each agent
+        shape = tuple(sizes)
+        kids = shapes.get(shape)
+        if kids is None:
+            u = n - sizes.count(0)  # bundles open in index order; sorted is stable
+            kids = sorted(range(u + 1 if u < n else n), key=sizes.__getitem__)
+            shapes[shape] = kids
+        $(c{i}) = cols[d]
+        $(w{i}) = worst
+        $(b{i}) = base
+        $(r{i}) = remaining[d + 1]
+        up = top[d + 1]
+        $(u{i}) = up
+        for i in drops[d]:
+            # Agent i's top falls for the children, so its terms only rise;
+            # with no value left (u = 0) its deficit test cuts instead.
+            w = worst[i]
+            u = up[i]
+            if w and u:
+                b = 0
+                for y in sums[i]:
+                    if y < w:
+                        q = -((y - w) // u)
+                        if q > need[b]:
+                            need[b] = q
+                    b += 1
+        if 1 in need:
+            # The cover test (module docstring): need[b] = 2 where it fails.
+            if negs0 is None:
+                # for each agent {i}:
+                negs{i}, masks{i} = self.cover_table({i})
+                # end for each agent
+            later = (1 << (m - 1 - d)) - 1  # the depths after d
+            b = 0
+            for c in need:
+                if c == 1:
+                    free = later
+                    # for each agent {i}:
+                    if free and (y := S{i}[b]) < w{i}:
+                        free &= masks{i}[bisect_right(negs{i}, y - w{i})]
+                    # end for each agent
+                    if not free:
+                        need[b] = 2
+                b += 1
+        # A child in bundle k is cut once it needs more than room + need[k]
+        # items there: the other bundles' entries only rise.
+        room = m - d - 1 - sum(need)
+        late = []
+        for k in kids:
+            nodes += 1
+            if nodes == check:
+                self.nodes = nodes
+                check = budget(nodes)
+            most = room + need[k]
+            if most < 0:
+                continue
+            rising = None
+            nk = 0
+            # Each agent's tests in turn, where "continue" cuts the child. If
+            # worst_i rises to t, every term changes: rescan (bundle k adds
+            # nothing, before or after: t <= x <= s). Otherwise only bundle
+            # k's term changes, max(0, w - x) becomes max(0, w - s), and a
+            # deficit that stays positive is at most r{i}, so u{i} > 0.
+            # for each agent {i}:
+            x = S{i}[k]
+            s = x + c{i}
+            mx = M{i}[k]
+            t = s - (c{i} if c{i} > mx else mx)
+            if t > w{i}:
+                e{i} = 0
+                for y in S{i}:
+                    if y < t:
+                        e{i} += t - y
+                        if e{i} > r{i}:
+                            break
+                if e{i} > r{i}:
+                    continue
+                if rising:
+                    rising.append(({i}, t))
+                else:
+                    rising = [({i}, t)]
+            else:
+                e{i} = b{i}
+                if s < w{i}:
+                    e{i} -= c{i}
+                    q = -((s - w{i}) // u{i})
+                    if q > nk:
+                        if q > most:
+                            continue
+                        nk = q
+                else:
+                    if x < w{i}:
+                        e{i} -= w{i} - x
+                    if e{i} > r{i}:
+                        continue
+            # end for each agent
+            child = need.copy()
+            child[k] = nk
+            if rising:
+                # Merge the rising agents' terms last, once the child
+                # has passed every per-agent test (their bundle k term is 0).
+                over = nk - most
+                for i, t in rising:
+                    u = up[i]
                     b = 0
                     for y in sums[i]:
-                        if y < w:
-                            q = -((y - w) // u)
-                            if q > need[b]:
-                                need[b] = q
+                        if y < t:
+                            q = -((y - t) // u)
+                            if q > child[b]:
+                                over += q - child[b]
+                                child[b] = q
                         b += 1
-            if 1 in need:
-                # The cover test (module docstring): need[b] = 2 where it fails.
-                if tables is None:
-                    tables = [self.cover_table(i) for i in agents]
-                later = (1 << (m - 1 - d)) - 1  # the depths after d
-                b = 0
-                for c in need:
-                    if c == 1:
-                        free = later
-                        for i in agents:
-                            y = sums[i][b]
-                            w = worst[i]
-                            if y < w:
-                                negs, masks = tables[i]
-                                free &= masks[bisect_right(negs, y - w)]
-                                if not free:
-                                    need[b] = 2
-                                    break
-                    b += 1
-            # A child in bundle k is cut once it needs more than room + need[k]
-            # items there: the other bundles' entries only rise.
-            room = m - d - 1 - sum(need)
-            late = []
-            for k in kids:
-                nodes += 1
-                if nodes == check:
-                    self.nodes = nodes
-                    check = budget(nodes)
-                most = room + need[k]
-                if most < 0:
+                if over > 0:
                     continue
-                deficits = []
-                rising = None
-                nk = 0
-                for i in agents:
-                    srow = sums[i]
-                    x = srow[k]
-                    v = col[i]
-                    s = x + v
-                    mx = maxes[i][k]
-                    t = s - (v if v > mx else mx)
-                    w = worst[i]
-                    if t > w:
-                        # worst_i rises to t, so every term changes: rescan.
-                        # Bundle k adds nothing, before or after: t <= x <= s.
-                        r = rem[i]
-                        deficit = 0
-                        for y in srow:
-                            if y < t:
-                                deficit += t - y
-                                if deficit > r:
-                                    break
-                        else:
-                            if rising:
-                                rising.append((i, t))
-                            else:
-                                rising = [(i, t)]
-                            deficits.append(deficit)
-                            continue
-                        break
-                    else:
-                        # Only bundle k's term changes: max(0, w - x) becomes
-                        # max(0, w - s).
-                        deficit = base[i]
-                        if s < w:
-                            deficit -= v
-                            # The deficit is positive and at most rem[i], so top_i > 0.
-                            q = -((s - w) // up[i])
-                            if q > nk:
-                                nk = q
-                                if q > most:
-                                    break
-                        else:
-                            if x < w:
-                                deficit -= w - x
-                            if deficit > rem[i]:
-                                break
-                    deficits.append(deficit)
-                else:
-                    child = need.copy()
-                    child[k] = nk
-                    if rising:
-                        # Merge the rising agents' terms last, once the child
-                        # has passed every per-agent test (their bundle k term is 0).
-                        over = nk - most
-                        for i, t in rising:
-                            u = up[i]
-                            b = 0
-                            for y in sums[i]:
-                                if y < t:
-                                    q = -((y - t) // u)
-                                    if q > child[b]:
-                                        over += q - child[b]
-                                        child[b] = q
-                                b += 1
-                        if over > 0:
-                            continue
-                        raised = worst.copy()
-                        for i, t in rising:
-                            raised[i] = t
-                    else:
-                        raised = worst
-                    total = sum(deficits)
-                    if total:
-                        late.append((total, k, raised, deficits, child))
-                    else:
-                        yield k, raised, deficits, child
-            if len(late) > 1:
-                late.sort(key=itemgetter(0))  # stable: ties keep the scoring order
-            for _, k, raised, deficits, child in late:
+                raised = worst.copy()
+                for i, t in rising:
+                    raised[i] = t
+            else:
+                raised = worst
+            deficits = [$(e{i})]
+            total = sum(deficits)
+            if total:
+                late.append((total, k, raised, deficits, child))
+            else:
                 yield k, raised, deficits, child
+        if len(late) > 1:
+            late.sort(key=itemgetter(0))  # stable: ties keep the scoring order
+        for _, k, raised, deficits, child in late:
+            yield k, raised, deficits, child
 
-        nodes, check = 0, budget(0)  # check: the next count to test the budgets at
-        plans[0] = score(0, [0] * n, [0] * n, [0] * n)
-        d = 0
-        while True:
-            step = next(plans[d], None)
-            if step is None:
-                if d == 0:
-                    self.nodes = nodes
-                    return
-                d -= 1
-                k = assign[d]
-                col = cols[d]
-                sm = saved_max[d]
-                for i in agents:
-                    sums[i][k] -= col[i]
-                    maxes[i][k] = sm[i]
-                sizes[k] -= 1
-                continue
-            k, worst, deficits, need = step
-            assign[d] = k
-            if d + 1 == m:
+    nodes, check = 0, budget(0)  # check: the next count to test the budgets at
+    plans[0] = score(0, [0] * n, [0] * n, [0] * n)
+    d = 0
+    while True:
+        step = next(plans[d], None)
+        if step is None:
+            if d == 0:
                 self.nodes = nodes
-                yield self.current_partition()
-                continue
-            col = cols[d]
-            sm = saved_max[d]
-            for i in agents:
-                v = col[i]
-                sums[i][k] += v
-                mrow = maxes[i]
-                mx = sm[i] = mrow[k]
-                if v > mx:
-                    mrow[k] = v
-            sizes[k] += 1
-            d += 1
-            plans[d] = score(d, worst, deficits, need)
+                return
+            d -= 1
+            k = assign[d]
+            $(c{i}) = cols[d]
+            $(p{i}) = saved_max[d]
+            # for each agent {i}:
+            S{i}[k] -= c{i}
+            M{i}[k] = p{i}
+            # end for each agent
+            sizes[k] -= 1
+            continue
+        k, worst, deficits, need = step
+        assign[d] = k
+        if d + 1 == m:
+            self.nodes = nodes
+            yield self.current_partition()
+            continue
+        $(c{i}) = cols[d]
+        saved_max[d] = $(M{i}[k])
+        # for each agent {i}:
+        S{i}[k] += c{i}
+        if c{i} > M{i}[k]:
+            M{i}[k] = c{i}
+        # end for each agent
+        sizes[k] += 1
+        d += 1
+        plans[d] = score(d, worst, deficits, need)
+'''
+
+
+def _expand(template: str, n: int) -> str:
+    """``template`` with its per-agent parts written out for agents 0..n-1.
+
+    A ``$(...)`` list ends in a comma, so one agent gives a one-name unpack.
+    """
+    agents = [str(i) for i in range(n)]
+    out: list[str] = []
+    block = None
+    for line in template.splitlines():
+        marker = line.strip()
+        if marker == "# for each agent {i}:":
+            block = []
+        elif marker == "# end for each agent":
+            out += [part.replace("{i}", i) for i in agents for part in block]
+            block = None
+        elif block is not None:
+            block.append(line)
+        else:
+            out.append(re.sub(r"\$\((.*?)\)",
+                              lambda g: ", ".join(g[1].replace("{i}", i) for i in agents) + ",",
+                              line))
+    return "\n".join(out) + "\n"
+
+
+@cache
+def _kernel(n: int):
+    """_Searcher.leaves for n agents, compiled at the first search with n agents.
+
+    The kernel reads this module's globals (``bisect_right``, ``itemgetter``).
+    """
+    scope: dict = {}
+    exec(compile(_expand(_LEAVES, n), f"<exact kernel n={n}>", "exec"), globals(), scope)
+    return scope["leaves"]
 
 
 def exact_symef1(inst: Instance, limits: SearchLimits | None = None) -> ExactOutcome:

@@ -238,6 +238,19 @@ def test_auto_searches_where_greedy_fails(files, capsys, monkeypatch):
     assert sf.is_symef1(inst, sf.parse_partition(captured.out, 3, 5))
 
 
+def test_auto_in_index_order_solves_the_stuck_three_agent_draw(files, capsys):
+    # In index order the greedy builder places 3 of this draw's 150 items and
+    # stops. The complete search finds a witness in 262 nodes, so auto exits
+    # 0 and prints a partition that check accepts.
+    path, inst = _uniform_file(files, random.Random("stage:uniform:3:150:2"), 3, 150)
+    assert main(["solve", path, "--order=index"]) == 0
+    captured = capsys.readouterr()
+    assert "solved by: exact (complete search)" in captured.err
+    assert sf.exact_symef1(inst).nodes == 262
+    assert main(["check", path, files("stuck.part", captured.out)]) == 0
+    assert capsys.readouterr().out.strip() == "SATISFIED"
+
+
 def test_auto_budget_runs_out_in_the_complete_search(files, capsys, monkeypatch):
     # The coloring stage alone runs out of budget (exit 3). In auto the
     # complete search is the one stage with a budget: it runs out once, and

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import count
+from itertools import count, zip_longest
 from types import ModuleType, SimpleNamespace
 
 import pytest
@@ -136,27 +136,42 @@ def test_readme_frontier_table_matches_the_search():
 
 def test_one_search_leaves_no_state_for_the_next():
     # Every table a search fills (cover tables, child lists by bundle sizes)
-    # and every per-depth frame belongs to that search. So each search of
-    # the frontier pool and of a few binary rows gives the same outcome when
-    # run again after other searches, and enumeration after an existence
-    # search lists what a fresh enumeration listed.
+    # and every per-depth frame belongs to that search, not to the kernel
+    # that runs it. So each search of the frontier pool and of rows for
+    # n = 3..8, interleaved, gives the same outcome when run again after
+    # other searches, each kernel serving several instances; the rows of
+    # 0..10, each searched after a binary row of its n, give the reference's
+    # outcome; and enumeration after an existence search lists what a fresh
+    # enumeration listed.
     limits = sf.SearchLimits(node_budget=40_000, time_budget=math.inf)
     rng = random.Random("no-state")
     binary = [sf.Instance.from_rows([[rng.randint(0, 1) for _ in range(m)] for _ in range(n)])
-              for n, m in ((3, 9), (4, 10), (5, 10), (6, 12))]
+              for n, m in ((3, 9), (4, 10), (5, 10), (6, 12), (7, 12), (8, 13))]
+    # Rows of 0..10 with m = 2n often leave a bundle short for agents that no
+    # single later item fills, where the cover test cuts.
+    small = [rand_instance(rng, n, 2 * n, 10) for n in range(3, 9)]
     pool = [inst for label, inst in _script("exact_frontier").instances()
             if label.startswith("pool")]
     assert len(pool) == 21
+    rows = [inst for pair in zip(binary, small) for inst in pair]
+    mixed = [inst for pair in zip_longest(pool, rows) for inst in pair if inst is not None]
 
     def outcome(inst):
         o = sf.exact_symef1(inst, limits)
         return o.status, o.nodes, o.partition
 
-    first = [outcome(inst) for inst in pool + binary]
+    first = [outcome(inst) for inst in mixed]
+    kernels = {n: sf.exact._kernel(n) for n in range(3, 9)}
     # In reverse, each search follows another one than the first time.
-    again = [outcome(inst) for inst in reversed(pool + binary)]
+    again = [outcome(inst) for inst in reversed(mixed)]
     assert first == again[::-1]
+    assert all(sf.exact._kernel(n) is kernel for n, kernel in kernels.items())
     assert sum(status is sf.ExactStatus.BUDGET_EXCEEDED for status, _, _ in first) == 2
+    statuses = {"found": sf.ExactStatus.FOUND, "exhausted": sf.ExactStatus.PROVED_INFEASIBLE,
+                "budget": sf.ExactStatus.BUDGET_EXCEEDED}
+    for inst in small:
+        end, found, nodes = _walk(_ReferenceSearcher, inst, limits, True)
+        assert first[mixed.index(inst)] == (statuses[end], nodes, found[0][0] if found else None)
     for inst in binary + pool[:3]:
         fresh = sf.enumerate_symef1(inst, limits, force=True)
         sf.exact_symef1(inst, limits)
@@ -427,7 +442,7 @@ def test_search_matches_reference_engine():
     rng = random.Random(62)
     ends = Counter()
     for _ in range(3000):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 10)
         m = rng.randint(0, 12)
         inst = rand_instance(rng, n, m, rng.choice((1, 3, 100, 10**4)))
         budget = rng.choice((1, 2, 5, 17, 100, 1000, None))
@@ -442,6 +457,11 @@ def test_search_matches_reference_engine():
                 sf.canonical_partition(leaf) for leaf, _ in found
             }
     assert len(ends) == 5 and min(ends.values()) >= 50, ends
+    # One 40-agent instance, node for node and by its enumeration set.
+    inst = rand_instance(rng, 40, 4, 10)
+    end, found, nodes = _same_walks(inst, sf.SearchLimits(), False)
+    assert end == "exhausted" and found
+    assert sf.enumerate_symef1(inst) == {sf.canonical_partition(leaf) for leaf, _ in found}
 
     # The perfbench frontier pool at its node budget, and seven uniform 8x24
     # draws: the instances where most children are cut.
@@ -463,6 +483,25 @@ def test_search_matches_reference_engine():
         assert (end, nodes) == ("budget", 4096) or nodes < 4096
         timed_out += end == "budget"
     assert timed_out >= 10
+
+
+def test_kernels_for_one_and_sixty_four_agents_match_the_reference():
+    # Each agent count gets its own kernel, every per-agent step written out
+    # for each agent: one agent unpacks each per-agent list into one name.
+    # A search at either width matches the reference node for node.
+    assert "    c0, = cols[d]\n" in sf.exact._expand(sf.exact._LEAVES, 1)
+    rng = random.Random("widths")
+    limits = sf.SearchLimits()
+    for n, m in ((1, 0), (1, 1), (1, 7), (64, 0), (64, 1), (64, 5)):
+        inst = rand_instance(rng, n, m, 10)
+        end, found, nodes = _same_walks(inst, limits, False)
+        assert end == "exhausted"
+        assert sf.enumerate_symef1(inst, force=True) == {sf.canonical_partition(leaf) for leaf, _ in found}
+    # n + 6 items of 0..10^4: one agent takes them all; 64 agents need a
+    # proof of 2 144 nodes that none of their partitions is symEF1.
+    for n, end in ((1, "found"), (64, "exhausted")):
+        inst = rand_instance(rng, n, n + 6, 10**4)
+        assert _same_walks(inst, limits, True)[0] == end
 
 
 def test_children_go_by_deficit_so_the_first_witness_moves():
