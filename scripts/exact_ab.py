@@ -7,11 +7,11 @@ example a checkout's ``src``). Each tree's ``exact.py`` is loaded as a module
 of the ``symfair`` package found on the path, so both run against one
 ``core``, and only the search differs.
 
-The instances are rebuilt here, not imported from perfbench:
+The instances are drawn from seeds, not imported from perfbench:
 
-- frontier: the 21-instance pool, 3 uniform draws (values 0..10^4, rows in
-  order, ``random.Random("frontier:<n>:<m>:<r>")``) at each (n, m) below,
-  searched under a 40 000-node budget and no time limit;
+- frontier: the 21-instance pool of ``exact_frontier.py`` (beside this
+  script; the perfbench frontier pool), searched under a 40 000-node budget
+  and no time limit;
 - grid: the acceptance grid's cells at 1/40 of their replications (master
   seed 42), each replication the greedy builder fails, searched under a
   10^7-node budget and no time limit.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import math
-import random
 import statistics
 import sys
 import time
@@ -41,8 +40,6 @@ from symfair import Instance, SearchLimits
 from symfair.heuristic import greedy_symef1
 from symfair.sim import random_instance, replication_seed
 
-FRONTIER_SIZES = ((5, 10), (5, 15), (6, 12), (6, 15), (6, 18), (7, 14), (7, 21))
-FRONTIER_DRAWS = 3
 FRONTIER_LIMITS = SearchLimits(node_budget=40_000, time_budget=math.inf)
 GRID_CELLS = (  # (n, m, M, replications) at 1/40 of the acceptance grid's
     [(3, m, 10**4, 50) for m in (5, 6, 7, 8, 9, 10, 15)]
@@ -54,23 +51,17 @@ GRID_MASTER_SEED = 42
 GRID_LIMITS = SearchLimits(node_budget=10**7, time_budget=math.inf)
 
 
-def load_exact(src: str, tag: str):
-    """``<src>/symfair/exact.py`` as the module ``symfair._exact_<tag>``."""
-    path = Path(src) / "symfair" / "exact.py"
-    spec = importlib.util.spec_from_file_location(f"symfair._exact_{tag}", path)
+def load(path: Path, name: str):
+    """The Python file at ``path`` as the module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def frontier_pool() -> list[Instance]:
-    pool = []
-    for n, m in FRONTIER_SIZES:
-        for r in range(FRONTIER_DRAWS):
-            rng = random.Random(f"frontier:{n}:{m}:{r}")
-            pool.append(Instance.from_rows(
-                [[rng.randint(0, 10**4) for _ in range(m)] for _ in range(n)]))
-    return pool
+def load_exact(src: str, tag: str):
+    """``<src>/symfair/exact.py`` as the module ``symfair._exact_<tag>``."""
+    return load(Path(src) / "symfair" / "exact.py", f"symfair._exact_{tag}")
 
 
 def grid_fallbacks() -> list[Instance]:
@@ -111,8 +102,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.passes < 1:
         parser.error("--passes must be at least 1")
     sides = {"old": load_exact(args.old_src, "old"), "new": load_exact(args.new_src, "new")}
+    frontier = load(Path(__file__).with_name("exact_frontier.py"), "exact_frontier")
+    pool = [inst for label, inst in frontier.instances() if label.startswith("pool")]
     groups = {
-        "frontier": (frontier_pool(), FRONTIER_LIMITS),
+        "frontier": (pool, FRONTIER_LIMITS),
         "grid": (grid_fallbacks(), GRID_LIMITS),
     }
     sizes = sorted({inst.n for instances, _ in groups.values() for inst in instances})

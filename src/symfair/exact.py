@@ -123,7 +123,7 @@ raises the failed entries to 2 in its own counts. A child that puts item d
 into a raised bundle k recomputes entry k, so its bound room + need[k],
 taken after the raise, is exactly that the child's counts fit in the items
 left. A query costs one binary search and one AND per short agent. Every
-agent's table, built at the search's first cover query, lists its values
+agent's table, built once per search with top and drops, lists its values
 sorted with prefix bitmasks of their depths, so the items worth at least g_i
 to it are one prefix mask; b fails when the AND of these masks over its
 short agents and the mask of the depths after d is 0.
@@ -135,13 +135,12 @@ per-agent step is written once per agent: the child test (the rise and its
 rescan, the deficit, the item count, the cut), placing and undoing a child,
 and the cover query. A node unpacks its item's values, worst_i, its
 deficits, R_i and top_i into locals on entry, and a search binds each
-agent's sums and maxima rows, and at its first cover query its cover table,
-to names, so no per-agent step indexes a per-agent list and a survivor
-builds its deficit list once. The loops over bundles stay loops: the
-rescans, the drops merge and the rising merge. The agents' blocks follow
-one another, never nest, so every n compiles. A build takes about 2-7 ms of
-CPU for n <= 10, 42 ms at n = 100 and 0.38 s (132 MB peak RSS) at n = 1000
-(Python 3.11).
+agent's sums and maxima rows and its cover table to names, so no per-agent
+step indexes a per-agent list and a survivor builds its deficit list once.
+The loops over bundles stay loops: the rescans, the drops merge and the
+rising merge. The agents' blocks follow one another, never nest, so every n
+compiles. A build takes about 2-7 ms of CPU for n <= 10, 42 ms at n = 100
+and 0.38 s (132 MB peak RSS) at n = 1000 (Python 3.11).
 """
 
 from __future__ import annotations
@@ -232,6 +231,8 @@ class _Searcher:
             below = top[d + 1]
             drops[d] = [i for i in agents if col[i] > below[i]]
             top[d] = [v if v > u else u for u, v in zip(below, col)]
+        # tables[i]: agent i's cover_table.
+        self.tables = [self.cover_table(i) for i in agents]
         self.assign = [0] * self.m
         self.nodes = 0
 
@@ -289,10 +290,9 @@ def leaves(self):
     plans: list = [None] * m
     # shapes[tuple(sizes)]: the child list of every node with those bundle sizes.
     shapes: dict = {}
-    # (negs{i}, masks{i}) = cover_table(i), built for every agent at the
-    # search's first cover query.
+    # negs{i}, masks{i}: agent i's cover table.
     # for each agent {i}:
-    negs{i} = masks{i} = None
+    negs{i}, masks{i} = self.tables[{i}]
     # end for each agent
 
     def score(d, worst, base, need):
@@ -317,9 +317,6 @@ def leaves(self):
         the order they were scored.
         """
         nonlocal nodes, check
-        # for each agent {i}:
-        nonlocal negs{i}, masks{i}
-        # end for each agent
         shape = tuple(sizes)
         kids = shapes.get(shape)
         if kids is None:
@@ -347,10 +344,6 @@ def leaves(self):
                     b += 1
         if 1 in need:
             # The cover test (module docstring): need[b] = 2 where it fails.
-            if negs0 is None:
-                # for each agent {i}:
-                negs{i}, masks{i} = self.cover_table({i})
-                # end for each agent
             later = (1 << (m - 1 - d)) - 1  # the depths after d
             b = 0
             for c in need:

@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
+from types import ModuleType
 
 import symfair as sf
+
+# The repository's root directory.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(name: str) -> ModuleType:
+    """``scripts/<name>.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
 
 # Items carry letter labels in the worked examples; indices are 0-based here.
 LETTERS = "abcdefghij"

@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import os
 import random
 import re
@@ -12,6 +11,7 @@ import pytest
 import symfair as sf
 from symfair import cli
 from symfair.cli import _parse_int_list, main
+from helpers import ROOT, load_script
 
 BLOCKER = "3 4\n1 1 1 0\n1 1 0 1\n1 0 1 1\n"
 CLIQUE = "3 6\n1 2 3 4 5 6\n1 2 4 3 5 6\n1 2 4 5 3 6\n"
@@ -532,15 +532,10 @@ def test_readme_stage_table_matches_the_script(capsys):
     # README's "Stage order" table is one run of scripts/stage_costs.py under a
     # node budget alone, so which stage decides does not depend on the host.
     # The cheap rows (n = 2..5 at m = 3n, uniform and binary) are re-run here.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "stage_costs", os.path.join(root, "scripts", "stage_costs.py")
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("stage_costs")
     script.N, script.M_PER_N = range(2, 6), (3,)
     row = re.compile(r"^\| (uniform|binary) \| (\d+) \| (\d+) \| ([^|]+) \|", re.M)
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         committed = {(rows, n, m): decided for rows, n, m, decided in row.findall(f.read())}
     capsys.readouterr()
     script.main()
@@ -714,9 +709,8 @@ def test_engine_bind_keeps_a_patched_name(files):
         "    if module == 'symfair.cli':\n"
         "        getattr(c, attr)\n"
     )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     result = subprocess.run(
-        [sys.executable, "-c", script], env=_subprocess_env(), cwd=root, capture_output=True,
+        [sys.executable, "-c", script], env=_subprocess_env(), cwd=ROOT, capture_output=True,
         text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr

@@ -1,4 +1,3 @@
-import importlib.util
 import inspect
 import math
 import os
@@ -7,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from collections import Counter
 from itertools import count, zip_longest
 from types import ModuleType, SimpleNamespace
@@ -15,7 +15,9 @@ import pytest
 
 import symfair as sf
 from helpers import (
+    ROOT,
     lab,
+    load_script,
     no_symefx_instance,
     partition_of,
     rand_instance,
@@ -101,24 +103,11 @@ def test_large_m_ends_in_budget_not_recursion_error():
         sf.enumerate_symef1(rand_instance(rng, 2, 1200, 10**4), limits, force=True)
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _script(name: str) -> ModuleType:
-    """``scripts/<name>.py`` loaded as a module."""
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(ROOT, "scripts", f"{name}.py")
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_readme_frontier_table_matches_the_search():
     # README's frontier table is one run of scripts/exact_frontier.py. Its
     # verdicts and node counts do not depend on the host, so the cheap rows
     # (5x10, 5x15 and 6x12, at most 1 391 nodes each) are re-run here.
-    script = _script("exact_frontier")
+    script = load_script("exact_frontier")
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         rows = {
             label: (verdict, int(nodes.replace(" ", "")))
@@ -150,7 +139,7 @@ def test_one_search_leaves_no_state_for_the_next():
     # Rows of 0..10 with m = 2n often leave a bundle short for agents that no
     # single later item fills, where the cover test cuts.
     small = [rand_instance(rng, n, 2 * n, 10) for n in range(3, 9)]
-    pool = [inst for label, inst in _script("exact_frontier").instances()
+    pool = [inst for label, inst in load_script("exact_frontier").instances()
             if label.startswith("pool")]
     assert len(pool) == 21
     rows = [inst for pair in zip(binary, small) for inst in pair]
@@ -183,7 +172,7 @@ def test_exact_ab_requires_equal_outcomes(tmp_path, capsys):
     # same (status, nodes, partition) on every instance: the tree against
     # itself passes, and a tree whose waiting children go largest deficit
     # first is refused.
-    script = _script("exact_ab")
+    script = load_script("exact_ab")
     src = os.path.dirname(os.path.dirname(sf.exact.__file__))
     assert script.main([src, src, "--passes", "1"]) == 0
     out = capsys.readouterr().out
@@ -673,11 +662,11 @@ def test_cover_cuts_a_child_the_item_count_test_passes():
     assert {sf.canonical_partition(leaf) for leaf, _ in found} == sf.naive_enumerate_symef1(inst)
 
 
-def test_cover_tables_built_for_every_agent_at_the_first_cover_query(monkeypatch):
-    # A search builds every agent's cover table once, at its first cover
-    # query, and a search that runs no query builds none. On the instance
+def test_cover_tables_built_once_per_search(monkeypatch):
+    # A search builds every agent's cover table once, with its setup, before
+    # the walk starts, whether or not it runs a cover query: on the instance
     # above, enumeration's cover queries find only the first two agents
-    # short; the existence search finds a witness before any query.
+    # short, and the existence search finds a witness before any query.
     built = []
     cover_table = sf.exact._Searcher.cover_table
 
@@ -691,7 +680,30 @@ def test_cover_tables_built_for_every_agent_at_the_first_cover_query(monkeypatch
     assert built == [0, 1, 2]
     built.clear()
     assert sf.exact_symef1(inst).nodes == 7
-    assert built == []
+    assert built == [0, 1, 2]
+
+
+def test_cover_table_lists_the_items_worth_each_gap():
+    # masks[bisect_right(negs, -g)], restricted to the depths after d, holds
+    # exactly the depths e > d whose item is worth at least g to the agent.
+    # Values 0..5 tie often, so an item worth exactly g must count.
+    rng = random.Random("cover-table")
+    ties = 0
+    for n in range(1, 7):
+        for m in range(15):
+            for _ in range(3):
+                inst = rand_instance(rng, n, m, 5)
+                searcher = sf.exact._Searcher(inst, sf.SearchLimits())
+                for i in range(n):
+                    row = [col[i] for col in searcher.cols]
+                    ties += len(set(row)) < m
+                    negs, masks = searcher.cover_table(i)
+                    for d in range(m):
+                        later = (1 << (m - 1 - d)) - 1
+                        for g in range(7):
+                            want = sum(1 << (m - 1 - e) for e in range(d + 1, m) if row[e] >= g)
+                            assert masks[bisect_right(negs, -g)] & later == want, (row, d, g)
+    assert ties > 500, ties
 
 
 def test_pairs_guaranteed_for_two_agents_four_distinct_items():
